@@ -13,8 +13,8 @@ Verdict conventions:
 * Weak inequalities hold with equality: boundary schedules pass exactly
   where the algebra says they break even, and the report surfaces equality
   separately (detected at 1e-12 relative).
-* A ``fail`` verdict always carries a witness whose replay through the
-  corresponding reward/gain operation reproduces the numbers bit for bit
+* A ``fail`` verdict always carries a witness whose replay through its
+  property's entry in ``PROPERTIES`` reproduces the numbers bit for bit
   (see :func:`replay_witness`).
 
 Tie-breaks are handled in expectation, computed exactly by enumerating the
@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from . import adversary, mechanisms
+from . import adversary, mechanisms, querytree
 from .mechanisms import (EQ_TOL, MechanismSpec, position_reward,
                          rewards_for_length)
 from .querytree import QueryTree, tied_shortest_paths
@@ -45,8 +45,11 @@ from .querytree import QueryTree, tied_shortest_paths
 DEFAULT_N_MAX = 50
 DEFAULT_ATTACK_N_MAX = 20
 DEFAULT_SIZE_MAX = 20
+DEFAULT_TABLE_N_MAX = 6
 DEFAULT_TREE_CAP = 10
 DEFAULT_COALITION_CAP = 8
+DEFAULT_IC_TREES = 200
+DEFAULT_CORE_TREES = 100
 
 
 class AuditError(ValueError):
@@ -293,55 +296,33 @@ def impossibility_certificate(table: Mapping[tuple[int, int], float]
     """
     if not table:
         raise AuditError("empty reward table")
-    lengths = sorted({n for (_, n) in table})
-    n_top = lengths[-1]
+    n_top = max(n for (_, n) in table)
     if n_top < 3:
         raise AuditError(f"table must cover lengths up to 3, got {n_top}")
-    for n in range(1, n_top + 1):
-        for i in range(1, n + 1):
-            value = table.get((i, n))
-            if value is None or not np.isfinite(value):
-                raise AuditError(f"table entry ({i},{n}) missing or not finite")
+    cells = [(i, n) for n in range(1, n_top + 1) for i in range(1, n + 1)]
+    for i, n in cells:
+        value = table.get((i, n))
+        if value is None or not np.isfinite(value):
+            raise AuditError(f"table entry ({i},{n}) missing or not finite")
 
-    po_witness = None
-    for n in range(1, n_top + 1):
-        for i in range(1, n + 1):
-            if not table[(i, n)] > 0.0:
-                po_witness = {"i": i, "n": n, "reward": table[(i, n)]}
-                break
-        if po_witness:
-            break
+    def holds(span, violated) -> bool:
+        # x(i, n) against the summed positions i..i+span at length n+span
+        for i, n in cells:
+            if n + span <= n_top:
+                lhs = table[(i, n)]
+                rhs = table[(i, n + span)]
+                for k in range(1, span + 1):  # not sum(): 3.12 compensates
+                    rhs += table[(i + k, n + span)]
+                if violated(lhs, rhs, EQ_TOL * max(1.0, abs(lhs), abs(rhs))):
+                    return False
+        return True
 
-    sp1_witness = None
-    for n in range(1, n_top):
-        for i in range(1, n + 1):
-            lhs = table[(i, n)]
-            rhs = table[(i, n + 1)] + table[(i + 1, n + 1)]
-            scale = max(1.0, abs(lhs), abs(rhs))
-            if lhs < rhs - EQ_TOL * scale:
-                sp1_witness = {"i": i, "n": n, "x": lhs, "split_sum": rhs}
-                break
-        if sp1_witness:
-            break
-
-    cp2_witness = None
-    for n in range(1, n_top - 1):
-        for i in range(1, n + 1):
-            lhs = table[(i, n)]
-            rhs = table[(i, n + 2)] + table[(i + 1, n + 2)] + table[(i + 2, n + 2)]
-            scale = max(1.0, abs(lhs), abs(rhs))
-            if lhs > rhs + EQ_TOL * scale:
-                cp2_witness = {"i": i, "n": n, "x": lhs, "merge_sum": rhs}
-                break
-        if cp2_witness:
-            break
-
-    failed = [name for name, wit in (("po", po_witness), ("sp_m1", sp1_witness),
-                                     ("cp_m2", cp2_witness)) if wit]
+    verdicts = {"po": all(table[cell] > 0.0 for cell in cells),
+                "sp_m1": holds(1, lambda lhs, rhs, tol: lhs < rhs - tol),
+                "cp_m2": holds(2, lambda lhs, rhs, tol: lhs > rhs + tol)}
+    failed = [name for name, ok in verdicts.items() if not ok]
     details = {
-        "po": "fail" if po_witness else "pass",
-        "sp_m1": "fail" if sp1_witness else "pass",
-        "cp_m2": "fail" if cp2_witness else "pass",
+        **{name: "pass" if ok else "fail" for name, ok in verdicts.items()},
         "failed_properties": failed,
         "certificate": ("joint satisfaction chains the split bound twice "
                         "against the merge bound and forces x(i+1, n+2) <= 0, "
@@ -533,8 +514,132 @@ def check_core(tree: QueryTree, spec: MechanismSpec,
 
 
 # ---------------------------------------------------------------------------
-# Witness replay
+# Property registry: each property's knobs with defaults, check and replay
 # ---------------------------------------------------------------------------
+
+class AuditProperty(NamedTuple):
+    name: str                         # as selected on the command line
+    report: str                       # as PropertyReport.property
+    defaults: Mapping[str, object]    # the knobs the check reads
+    run: Callable[[MechanismSpec, dict], PropertyReport]  # (spec, knobs)
+    # (witness, spec, tree, domain): True when the witness recomputes bit
+    # for bit through the original operation and still violates
+    replay: Callable[..., bool]
+
+
+def _audit_trees(check: Callable, counter: str, k: dict) -> PropertyReport:
+    """``check(tree, cap)`` on the given tree, or on a seeded batch of
+    generated trees up to the first failure, whose tree joins the witness."""
+    if k["tree"] is not None:
+        return check(k["tree"], k["max_nodes"])
+    total = 0
+    for index, tree in enumerate(querytree.generate_trees(
+            k["trees"], k["seed"], max_nodes=k["max_nodes"])):
+        report = check(tree, k["max_nodes"])
+        total += report.details.get(counter, 0)
+        if not report.passed:
+            report.witness["tree"] = querytree.tree_to_json(tree)
+            report.domain.update({"trees": k["trees"], "failed_at": index,
+                                  "seed": k["seed"]})
+            return report
+    report.domain.update({"trees": k["trees"], "seed": k["seed"]})
+    report.details[counter] = total
+    return report
+
+
+def _replay_deviation(spec, tree, deviation, truthful, deviant) -> bool:
+    """Each member of ``truthful`` is paid as recorded and gains strictly."""
+    engine = _DeviationEngine(tree, spec)
+    baseline = engine.expected({})
+    payoffs = engine.expected({int(a): (rep["resp"], tuple(rep["children"]))
+                               for a, rep in deviation.items()})
+    return all(baseline.get(a, 0.0) == truthful[a]
+               and payoffs.get(a, 0.0) == deviant[a]
+               and payoffs.get(a, 0.0) > baseline.get(a, 0.0)
+               for a in truthful)
+
+
+# Checks are named as module globals, so a wrapper installed on this module
+# (a tracer, a test double) runs. Schedule witnesses replay by re-running the
+# check on the smallest domain where it finds them first, bit for bit.
+PROPERTIES: dict[str, AuditProperty] = {p.name: p for p in (
+    AuditProperty("po", "po", {"n_max": DEFAULT_N_MAX},
+                  lambda spec, k: check_po(spec, k["n_max"]),
+                  lambda w, spec, *_: check_po(spec, w["n"]).witness == w),
+    AuditProperty("bb", "bb", {"n_max": DEFAULT_N_MAX},
+                  lambda spec, k: check_bb(spec, k["n_max"]),
+                  lambda w, spec, *_: check_bb(spec, w["n"]).witness == w),
+    AuditProperty("split", "split", {"rho_expected": None,
+                                     "n_max": DEFAULT_N_MAX},
+                  lambda spec, k: check_split(spec, k["rho_expected"],
+                                              k["n_max"]),
+                  lambda w, spec, *_: check_split(
+                      spec, w["rho_expected"], w["n"]).witness == w),
+    AuditProperty("sp", "sp", {"lambda_max": DEFAULT_SIZE_MAX,
+                               "n_max": DEFAULT_ATTACK_N_MAX},
+                  lambda spec, k: check_sp(spec, k["lambda_max"], k["n_max"]),
+                  lambda w, spec, *_: check_sp(
+                      spec, w["lambda"], w["n"]).witness == w),
+    AuditProperty("cp", "cp", {"gamma_max": DEFAULT_SIZE_MAX,
+                               "n_max": DEFAULT_ATTACK_N_MAX},
+                  lambda spec, k: check_cp(spec, k["gamma_max"], k["n_max"]),
+                  lambda w, spec, *_: check_cp(
+                      spec, w["gamma"], w["n_merged"]).witness == w),
+    # a shorter scan can turn out monotone, so this one replays on the whole
+    AuditProperty("monotone", "solver_reward_monotone",
+                  {"n_max": DEFAULT_N_MAX},
+                  lambda spec, k: check_monotone_solver_reward(
+                      spec, k["n_max"]),
+                  lambda w, spec, tree, domain: check_monotone_solver_reward(
+                      spec, domain["n_max"]).witness == w),
+    # the certificate needs lengths up to 3
+    AuditProperty("impossibility", "impossibility",
+                  {"n_max": DEFAULT_TABLE_N_MAX},
+                  lambda spec, k: impossibility_certificate(
+                      reward_table(spec, max(3, k["n_max"]))),
+                  lambda w, spec, tree, domain: impossibility_certificate(
+                      reward_table(spec, domain["n_max"])).witness == w),
+    AuditProperty("ic", "ic", {"tree": None, "trees": DEFAULT_IC_TREES,
+                               "max_nodes": DEFAULT_TREE_CAP, "seed": 0},
+                  lambda spec, k: _audit_trees(lambda tree, cap: check_ic(
+                      tree, spec, size_cap=cap), "deviations_checked", k),
+                  lambda w, spec, tree, _: _replay_deviation(
+                      spec, tree, {w["agent"]: w["report"]},
+                      {w["agent"]: w["truthful_reward"]},
+                      {w["agent"]: w["deviant_reward"]})),
+    AuditProperty("core", "core", {"tree": None, "trees": DEFAULT_CORE_TREES,
+                                   "max_nodes": DEFAULT_COALITION_CAP,
+                                   "seed": 0},
+                  lambda spec, k: _audit_trees(lambda tree, cap: check_core(
+                      tree, spec, coalition_cap=cap), "coalitions_checked", k),
+                  lambda w, spec, tree, _: _replay_deviation(
+                      spec, tree, w["deviation"], w["truthful"], w["deviant"])),
+)}
+
+KNOBS = frozenset(key for p in PROPERTIES.values() for key in p.defaults)
+
+# smallest accepted value per size knob; a node cap below 2 admits no tree
+_KNOB_MIN = {"n_max": 1, "lambda_max": 1, "gamma_max": 1, "trees": 1,
+             "max_nodes": 2}
+
+
+def audit(names, spec: MechanismSpec, **knobs) -> list[PropertyReport]:
+    """Run the named properties in order ("all": every one). Knobs left out
+    or None take each property's default; bad sizes fail before any check."""
+    names = list(PROPERTIES) if "all" in names else names
+    unknown = set(names) - set(PROPERTIES)
+    if unknown:
+        raise AuditError(f"unknown properties: {sorted(unknown)}; "
+                         f"choose from {tuple(PROPERTIES)}")
+    if not KNOBS.issuperset(knobs):
+        raise TypeError(f"unknown audit knobs {sorted(set(knobs) - KNOBS)}")
+    given = {key: value for key, value in knobs.items() if value is not None}
+    for key, low in _KNOB_MIN.items():
+        if given.get(key, low) < low:
+            raise AuditError(f"{key} must be >= {low}, got {given[key]}")
+    return [PROPERTIES[name].run(spec, {**PROPERTIES[name].defaults, **given})
+            for name in names]
+
 
 def replay_witness(report: PropertyReport, spec: Optional[MechanismSpec] = None,
                    tree: Optional[QueryTree] = None) -> bool:
@@ -546,46 +651,8 @@ def replay_witness(report: PropertyReport, spec: Optional[MechanismSpec] = None,
     if report.verdict == "pass":
         return True
     w = report.witness
-    if w is None:
+    entry = next((p for p in PROPERTIES.values()
+                  if p.report == report.property), None)
+    if w is None or entry is None:
         return False
-    prop = report.property
-    if prop == "po":
-        x = position_reward(w["i"], w["n"], spec)
-        return x == w["reward"] and not x > 0.0
-    if prop == "bb":
-        total = rewards_for_length(w["n"], spec).total
-        return total == w["total"] and total > spec.budget * (1.0 + EQ_TOL)
-    if prop == "split":
-        ratio = (position_reward(w["i"], w["n"], spec)
-                 / position_reward(w["i"] + 1, w["n"], spec))
-        return ratio == w["ratio"] and ratio < w["rho_expected"] * (1.0 - EQ_TOL)
-    if prop == "sp":
-        out = adversary.sybil_gain(spec, w["i"], w["n"], w["lambda"])
-        return (out.reward_before == w["reward_before"]
-                and out.reward_after == w["reward_after"] and out.profitable)
-    if prop == "cp":
-        out = adversary.collusion_gain(spec, w["i"], w["n_merged"], w["gamma"])
-        return (out.reward_before == w["reward_before"]
-                and out.reward_after == w["reward_after"] and out.profitable)
-    if prop == "ic":
-        engine = _DeviationEngine(tree, spec)
-        baseline = engine.expected({}).get(w["agent"], 0.0)
-        option = (w["report"]["resp"], tuple(w["report"]["children"]))
-        payoff = engine.expected({w["agent"]: option}).get(w["agent"], 0.0)
-        return (baseline == w["truthful_reward"]
-                and payoff == w["deviant_reward"] and payoff > baseline)
-    if prop == "core":
-        engine = _DeviationEngine(tree, spec)
-        baseline = engine.expected({})
-        overrides = {int(a): (rep["resp"], tuple(rep["children"]))
-                     for a, rep in w["deviation"].items()}
-        payoffs = engine.expected(overrides)
-        for a in w["coalition"]:
-            if baseline.get(a, 0.0) != w["truthful"][a]:
-                return False
-            if payoffs.get(a, 0.0) != w["deviant"][a]:
-                return False
-            if not payoffs.get(a, 0.0) > baseline.get(a, 0.0):
-                return False
-        return True
-    return False
+    return entry.replay(w, spec, tree, report.domain)

@@ -13,13 +13,8 @@ import sys
 from pathlib import Path
 
 from . import adversary, analytics, auditor, experiments, mechanisms, querytree
-from .mechanisms import RewardDomainError
-from .querytree import InvalidTreeError
 
 MECHANISMS = ("dgm", "geom", "gcrm", "tdgm")
-
-AUDIT_PROPERTIES = ("po", "bb", "split", "sp", "cp", "monotone",
-                    "impossibility", "ic", "core")
 
 
 class UsageError(Exception):
@@ -42,37 +37,32 @@ def _add_mechanism_args(parser):
                        help="tdgm JSON file {length: payment}")
 
 
+# mechanism -> (its own parameter flag, map_rho key, constructor)
+_RHO_FAMILIES = {"dgm": ("alpha", "alpha_dgm", mechanisms.dgm),
+                 "geom": ("delta", "delta", mechanisms.delta_geom),
+                 "gcrm": ("alpha", "alpha_gcrm", mechanisms.gcrm)}
+
+
 def build_spec(args) -> mechanisms.MechanismSpec:
     rho_params = mechanisms.map_rho(args.rho) if args.rho is not None else None
-    if args.mechanism == "dgm":
-        alpha = args.alpha if args.alpha is not None else (
-            rho_params and rho_params["alpha_dgm"])
-        if alpha is None:
-            raise UsageError("dgm needs --alpha or --rho")
-        return mechanisms.dgm(alpha, args.budget)
-    if args.mechanism == "geom":
-        delta = args.delta if args.delta is not None else (
-            rho_params and rho_params["delta"])
-        if delta is None:
-            raise UsageError("geom needs --delta or --rho")
-        return mechanisms.delta_geom(delta, args.budget)
-    if args.mechanism == "gcrm":
-        alpha = args.alpha if args.alpha is not None else (
-            rho_params and rho_params["alpha_gcrm"])
-        if alpha is None:
-            raise UsageError("gcrm needs --alpha or --rho")
-        return mechanisms.gcrm(alpha, args.budget)
+    if args.mechanism in _RHO_FAMILIES:
+        flag, key, make = _RHO_FAMILIES[args.mechanism]
+        value = getattr(args, flag)
+        if value is None and rho_params is not None:
+            value = rho_params[key]
+        if value is None:
+            raise UsageError(f"{args.mechanism} needs --{flag} or --rho")
+        return make(value, args.budget)
     if args.alpha is None:
         raise UsageError("tdgm needs --alpha")
+    beta = args.beta
     if args.beta_table is not None:
-        table = {int(n): float(v)
-                 for n, v in json.loads(args.beta_table.read_text()).items()}
-        return mechanisms.MechanismSpec(mechanisms.TDGM, args.alpha,
-                                        args.budget, table)
-    if args.beta is None:
+        beta = {int(n): float(v)
+                for n, v in json.loads(args.beta_table.read_text()).items()}
+    if beta is None:
         raise UsageError("tdgm needs --beta or --beta-table")
     return mechanisms.MechanismSpec(mechanisms.TDGM, args.alpha,
-                                    args.budget, args.beta)
+                                    args.budget, beta)
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -87,11 +77,14 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _load_tree(path: Path):
+def _load_tree(path: Path, reported: bool = True):
+    """The tree in ``path``; if ``reported``, as its reports leave it."""
     doc = json.loads(path.read_text())
     tree = querytree.tree_from_json(doc)
     profile = querytree.profile_from_json(doc)
-    return tree, profile
+    if reported and profile is not None:
+        tree = querytree.derive_reported_tree(tree, profile)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +92,7 @@ def _load_tree(path: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_allocate(args) -> int:
-    tree, profile = _load_tree(args.tree)
-    if profile is not None:
-        tree = querytree.derive_reported_tree(tree, profile)
-    path = querytree.allocate(tree, args.seed)
+    path = querytree.allocate(_load_tree(args.tree), args.seed)
     if path is None:
         payload = {"path": None, "reason": "no reachable solver"}
     else:
@@ -114,10 +104,7 @@ def cmd_allocate(args) -> int:
 
 def cmd_reward(args) -> int:
     spec = build_spec(args)
-    tree, profile = _load_tree(args.tree)
-    if profile is not None:
-        tree = querytree.derive_reported_tree(tree, profile)
-    path = querytree.allocate(tree, args.seed)
+    path = querytree.allocate(_load_tree(args.tree), args.seed)
     if path is None:
         payload = {"path": None, "rewards": [], "total": 0.0,
                    "reason": "no reachable solver"}
@@ -132,16 +119,14 @@ def cmd_reward(args) -> int:
 def cmd_attack(args) -> int:
     spec = build_spec(args)
     if args.scenario is not None:
-        scenario = adversary.scenario_from_json(
-            json.loads(args.scenario.read_text()))
+        doc = json.loads(args.scenario.read_text())
+    elif None in (args.kind, args.position, args.size, args.n):
+        raise UsageError("attack needs --scenario or all of "
+                         "--kind/--position/--size/--n")
     else:
-        if None in (args.kind, args.position, args.size, args.n):
-            raise UsageError("attack needs --scenario or all of "
-                             "--kind/--position/--size/--n")
-        scenario = adversary.scenario_from_json(
-            {"kind": args.kind, "position": args.position,
-             "size": args.size, "n": args.n})
-    outcome = adversary.run_scenario(spec, scenario)
+        doc = {"kind": args.kind, "position": args.position,
+               "size": args.size, "n": args.n}
+    outcome = adversary.run_scenario(spec, adversary.scenario_from_json(doc))
     if args.format == "table":
         text = (f"{outcome.kind} at position {outcome.position} "
                 f"(size {outcome.size}): before={outcome.reward_before:.9g} "
@@ -190,66 +175,13 @@ def cmd_analytics(args) -> int:
     return 0
 
 
-def _audit_tree_checks(args, spec, prop):
-    check = auditor.check_ic if prop == "ic" else auditor.check_core
-    cap = (args.max_nodes if args.max_nodes is not None
-           else (10 if prop == "ic" else 8))
-    if args.tree is not None:
-        tree, profile = _load_tree(args.tree)
-        return check(tree, spec, size_cap=cap) if prop == "ic" \
-            else check(tree, spec, coalition_cap=cap)
-    count = args.trees if args.trees is not None else (
-        200 if prop == "ic" else 100)
-    trees = querytree.generate_trees(count, args.seed, max_nodes=cap)
-    counter_key = ("deviations_checked" if prop == "ic"
-                   else "coalitions_checked")
-    total = 0
-    for index, tree in enumerate(trees):
-        report = (check(tree, spec, size_cap=cap) if prop == "ic"
-                  else check(tree, spec, coalition_cap=cap))
-        total += report.details.get(counter_key, 0)
-        if not report.passed:
-            report.witness["tree"] = querytree.tree_to_json(tree)
-            report.domain.update({"trees": count, "failed_at": index,
-                                  "seed": args.seed})
-            return report
-    report.domain.update({"trees": count, "seed": args.seed})
-    report.details[counter_key] = total
-    return report
-
-
 def cmd_audit(args) -> int:
     spec = build_spec(args)
-    wanted = [p.strip() for p in args.property.split(",")]
-    if "all" in wanted:
-        wanted = list(AUDIT_PROPERTIES)
-    unknown = set(wanted) - set(AUDIT_PROPERTIES)
-    if unknown:
-        raise UsageError(f"unknown properties: {sorted(unknown)}; "
-                         f"choose from {AUDIT_PROPERTIES}")
-    reports = []
-    for prop in wanted:
-        if prop == "po":
-            reports.append(auditor.check_po(spec, args.n_max or 50))
-        elif prop == "bb":
-            reports.append(auditor.check_bb(spec, args.n_max or 50))
-        elif prop == "split":
-            reports.append(auditor.check_split(spec, args.rho_expected,
-                                               args.n_max or 50))
-        elif prop == "sp":
-            reports.append(auditor.check_sp(spec, args.lambda_max,
-                                            args.n_max or 20))
-        elif prop == "cp":
-            reports.append(auditor.check_cp(spec, args.gamma_max,
-                                            args.n_max or 20))
-        elif prop == "monotone":
-            reports.append(auditor.check_monotone_solver_reward(
-                spec, args.n_max or 50))
-        elif prop == "impossibility":
-            table = auditor.reward_table(spec, max(3, args.n_max or 6))
-            reports.append(auditor.impossibility_certificate(table))
-        else:
-            reports.append(_audit_tree_checks(args, spec, prop))
+    knobs = {key: getattr(args, key) for key in auditor.KNOBS}
+    if args.tree is not None:
+        knobs["tree"] = _load_tree(args.tree, reported=False)
+    reports = auditor.audit([p.strip() for p in args.property.split(",")],
+                            spec, **knobs)
     payload = _json_text([r.to_json() for r in reports])
     if args.format == "json":
         _emit(payload, args.out)
@@ -340,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="property checks with witnesses")
     _add_mechanism_args(p_audit)
-    p_audit.add_argument("--property", required=True,
-                         help=f"comma list from {AUDIT_PROPERTIES} or 'all'")
+    p_audit.add_argument("--property", required=True, help="comma list from "
+                         f"{tuple(auditor.PROPERTIES)} or 'all'")
     p_audit.add_argument("--n-max", type=int)
-    p_audit.add_argument("--lambda-max", type=int, default=20)
-    p_audit.add_argument("--gamma-max", type=int, default=20)
+    p_audit.add_argument("--lambda-max", type=int)
+    p_audit.add_argument("--gamma-max", type=int)
     p_audit.add_argument("--rho-expected", type=float)
     p_audit.add_argument("--tree", type=Path,
                          help="audit ic/core on this tree instead of "
@@ -352,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--trees", type=int,
                          help="number of random trees for ic/core")
     p_audit.add_argument("--max-nodes", type=int)
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--seed", type=int)
     p_audit.add_argument("--format", choices=["table", "json"],
                          default="table")
     p_audit.add_argument("--out", type=Path)
@@ -383,11 +315,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, RewardDomainError, InvalidTreeError,
-            auditor.AuditError, analytics.SearchExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, ValueError, OverflowError, OSError,
+            analytics.SearchExhaustedError) as exc:
+        # the package's input errors and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,8 +91,9 @@ class MechanismSpec:
             raise RewardDomainError(f"unknown family {self.family!r}")
         if not 0.0 < self.alpha < 1.0:
             raise RewardDomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.budget <= 0.0:
-            raise RewardDomainError(f"budget must be positive, got {self.budget}")
+        if not 0.0 < self.budget < math.inf:
+            raise RewardDomainError(f"budget must be positive and finite, "
+                                    f"got {self.budget}")
         if self.family == GCRM:
             if self.beta is not None:
                 raise RewardDomainError("GCRM fixes the solver payment to the "

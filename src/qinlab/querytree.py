@@ -216,40 +216,39 @@ def derive_reported_tree(tree: QueryTree, profile: ReportProfile) -> QueryTree:
     return QueryTree(tree.root, children, resp)
 
 
+def _tied_solvers(tree_reported: QueryTree) -> list[int]:
+    """Sorted minimum-depth reported solvers; empty when none is reachable."""
+    frontier = [tree_reported.root]
+    while frontier:
+        tied = sorted(n for n in frontier
+                      if n != tree_reported.root and tree_reported.resp[n])
+        if tied:
+            return tied
+        frontier = [c for n in frontier for c in tree_reported.children[n]]
+    return []
+
+
 def allocate(tree_reported: QueryTree, rng_seed: int) -> Optional[AllocationPath]:
     """Pick the minimum-depth reported solver; ties uniform at random.
 
     Returns ``None`` when nobody reachable reports an answer (the task goes
     unsolved and nothing is paid). The tie-break draws once from
     ``numpy.random.default_rng(rng_seed)``, so a recorded seed replays the
-    exact outcome.
+    exact outcome; a single tied solver draws nothing.
     """
-    frontier = [tree_reported.root]
-    while frontier:
-        tied = sorted(n for n in frontier
-                      if n != tree_reported.root and tree_reported.resp[n])
-        if tied:
-            if len(tied) == 1:
-                solver = tied[0]
-            else:
-                rng = np.random.default_rng(rng_seed)
-                solver = tied[int(rng.integers(len(tied)))]
-            return AllocationPath(_path_to(tree_reported, solver))
-        frontier = [c for n in frontier for c in tree_reported.children[n]]
-    return None
+    tied = _tied_solvers(tree_reported)
+    if not tied:
+        return None
+    pick = 0 if len(tied) == 1 else int(
+        np.random.default_rng(rng_seed).integers(len(tied)))
+    return AllocationPath(_path_to(tree_reported, tied[pick]))
 
 
 def tied_shortest_paths(tree_reported: QueryTree) -> list[AllocationPath]:
     """All minimum-depth solver paths; the tie-break picks uniformly among
     these. Empty list when no solver is reachable."""
-    frontier = [tree_reported.root]
-    while frontier:
-        tied = sorted(n for n in frontier
-                      if n != tree_reported.root and tree_reported.resp[n])
-        if tied:
-            return [AllocationPath(_path_to(tree_reported, s)) for s in tied]
-        frontier = [c for n in frontier for c in tree_reported.children[n]]
-    return []
+    return [AllocationPath(_path_to(tree_reported, s))
+            for s in _tied_solvers(tree_reported)]
 
 
 def _path_to(tree: QueryTree, node: int) -> tuple[int, ...]:
@@ -310,6 +309,8 @@ def generate_trees(count: int, seed: int, max_nodes: int, min_nodes: int = 2,
     Oversized or degenerate draws are re-drawn from a derived sub-seed, so
     the batch depends only on (count, seed, parameters).
     """
+    if max_nodes < min_nodes:
+        raise ValueError(f"max_nodes {max_nodes} < min_nodes {min_nodes}")
     trees = []
     for k in range(count):
         attempt = 0

@@ -1,11 +1,17 @@
 """Property verdicts: pass/fail patterns, witnesses, replay, oracles."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
-from qinlab import adversary, analytics, mechanisms
+from qinlab import adversary, analytics, auditor, mechanisms
 from qinlab.auditor import (
+    PROPERTIES,
     AuditError,
+    PropertyReport,
+    audit,
     check_bb,
     check_core,
     check_cp,
@@ -36,6 +42,7 @@ from qinlab.querytree import (
     allocate,
     derive_reported_tree,
     generate_trees,
+    tree_from_json,
 )
 
 DGM06 = dgm(0.375)          # common split 0.6
@@ -381,3 +388,107 @@ class TestReportPlumbing:
         text = render_table(reports)
         assert "po" in text and "sp" in text
         assert "fail" in text
+
+
+def _longer_path_case():
+    """Budget-legal table whose solver pay grows faster than the per-level
+    discount, on a chain where 2 and 3 both answer: 2 gains by deferring."""
+    spec = MechanismSpec("TDGM", 0.2, beta={1: 0.05, 2: 0.1, 3: 0.6})
+    children = {0: (1,), 1: (2,), 2: (3,), 3: ()}
+    resp = {0: False, 1: False, 2: True, 3: True}
+    return spec, QueryTree(0, children, resp)
+
+
+def _planted_failures():
+    """One failing input per property that can fail: (spec, knobs, path of
+    a float in the witness to nudge by one ulp, or None)."""
+    over = {n: beta_cp(n, 1.0, 0.5) for n in range(1, 5)}
+    over[3] *= 1.05
+    spec_ic, tree = _longer_path_case()
+    return {
+        "po": (MechanismSpec.unchecked("TDGM", 0.5,
+                                       beta={1: 0.5, 2: 0.6, 3: 0.0}),
+               {}, ("reward",)),
+        "bb": (MechanismSpec.unchecked("TDGM", 0.5, beta=over), {},
+               ("total",)),
+        "split": (GCRM05, {"rho_expected": 0.9, "n_max": 10}, ("ratio",)),
+        "sp": (GEOM06, {}, ("reward_after",)),
+        "cp": (DGM06, {"gamma_max": 10, "n_max": 10}, ("reward_after",)),
+        "monotone": (MechanismSpec.unchecked("TDGM", 0.5,
+                                             beta={1: 0.4, 2: 0.6, 3: 0.3}),
+                     {"n_max": 3}, ("x_n",)),
+        "ic": (spec_ic, {"tree": tree}, ("deviant_reward",)),
+        "core": (spec_ic, {"tree": tree}, ("deviant", 2)),
+    }
+
+
+class TestRegistry:
+    def test_order_and_spellings(self):
+        assert list(PROPERTIES) == ["po", "bb", "split", "sp", "cp",
+                                    "monotone", "impossibility", "ic", "core"]
+        assert PROPERTIES["monotone"].report == "solver_reward_monotone"
+
+    def test_every_fail_witness_replays_and_a_nudged_one_does_not(self):
+        planted = _planted_failures()
+        assert set(planted) | {"impossibility"} == set(PROPERTIES)
+        for name, (spec, knobs, path) in planted.items():
+            [report] = audit([name], spec, **knobs)
+            tree = knobs.get("tree")
+            assert report.verdict == "fail", name
+            assert report.property == PROPERTIES[name].report
+            assert replay_witness(report, spec, tree), name
+            nudged = copy.deepcopy(report)
+            *outer, last = path
+            holder = nudged.witness
+            for key in outer:
+                holder = holder[key]
+            holder[last] = math.nextafter(holder[last], math.inf)
+            assert not replay_witness(nudged, spec, tree), name
+
+    def test_forged_impossibility_failure_does_not_replay(self):
+        [report] = audit(["impossibility"], DGM06)
+        assert report.passed
+        forged = PropertyReport(
+            "impossibility", "fail",
+            witness={"po": "holds", "sp_m1": "holds", "cp_m2": "holds",
+                     "note": "table claims all three; positivity must be "
+                             "broken"},
+            domain=report.domain)
+        assert not replay_witness(forged, DGM06)
+
+    def test_batch_failure_records_and_replays_its_tree(self):
+        spec = MechanismSpec("TDGM", 0.2, beta={
+            n: beta_cp(n, 1.0, 0.2) * min(1.0, 0.01 * 12 ** (n - 1))
+            for n in range(1, 11)})
+        reports = audit(["ic", "core"], spec, trees=20, seed=3, max_nodes=8)
+        assert [r.verdict for r in reports] == ["fail", "fail"]
+        batch = generate_trees(20, seed=3, max_nodes=8)
+        for report in reports:
+            tree = tree_from_json(report.witness["tree"])
+            assert tree == batch[report.domain["failed_at"]]
+            assert (report.domain["trees"], report.domain["seed"]) == (20, 3)
+            assert replay_witness(report, spec, tree)
+
+    def test_defaults_come_from_the_module_constants(self):
+        [po, sp, imp, ic] = audit(["po", "sp", "impossibility", "ic"],
+                                  GCRM05, trees=2)
+        assert po.domain["n_max"] == auditor.DEFAULT_N_MAX
+        assert sp.domain == {"n_max": auditor.DEFAULT_ATTACK_N_MAX,
+                             "lambda_max": auditor.DEFAULT_SIZE_MAX}
+        assert imp.domain["n_max"] == auditor.DEFAULT_TABLE_N_MAX
+        assert (ic.domain["seed"], ic.domain["trees"]) == (0, 2)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("n_max", 0), ("lambda_max", 0), ("gamma_max", 0), ("trees", 0),
+        ("max_nodes", 1), ("max_nodes", 0)])
+    def test_out_of_range_sizes_rejected_before_any_check(self, knob, value,
+                                                          monkeypatch):
+        monkeypatch.setattr(auditor, "check_po", None)
+        with pytest.raises(AuditError):
+            audit(["po"], GCRM05, **{knob: value})
+
+    def test_unknown_names_rejected(self):
+        with pytest.raises(AuditError):
+            audit(["bogus"], GCRM05)
+        with pytest.raises(TypeError):
+            audit(["po"], GCRM05, nmax=5)

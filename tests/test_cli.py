@@ -229,3 +229,50 @@ class TestSpecBuilding:
         assert payload[0]["details"]["achieved_ratio"] == pytest.approx(
             0.6, rel=1e-12)
         assert direct[0]["lambda_star"] == 2
+
+
+AUDIT = ["audit", "--mechanism", "gcrm", "--alpha", "0.5"]
+
+
+class TestAuditRegistry:
+    def test_checks_run_through_module_attributes(self, monkeypatch, capsys):
+        from qinlab import auditor
+        calls = []
+
+        def counting(name):
+            real = getattr(auditor, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+        for name in ("check_po", "check_ic"):
+            monkeypatch.setattr(auditor, name, counting(name))
+        assert main(AUDIT + ["--property", "po,ic", "--trees", "2"]) == 0
+        assert calls == ["check_po", "check_ic", "check_ic"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--property", "sp", "--lambda-max", "0"],
+        ["--property", "cp", "--gamma-max", "0"],
+        ["--property", "po", "--n-max", "0"],
+        ["--property", "bb", "--n-max", "-3"],
+        ["--property", "ic", "--trees", "0"],
+        ["--property", "ic", "--max-nodes", "0"],
+        ["--property", "core", "--max-nodes", "1"],
+    ])
+    def test_out_of_range_sizes_exit_2(self, flags, capsys):
+        assert main(AUDIT + flags) == 2
+        assert "must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_exit_2(self, budget, capsys):
+        code = main(["audit", "--mechanism", "dgm", "--rho", "0.6",
+                     "--property", "bb,sp", "--budget", budget])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_overflowing_rewards_exit_2(self, capsys):
+        code = main(["audit", "--mechanism", "gcrm", "--alpha", "0.9",
+                     "--property", "bb", "--n-max", "2000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")

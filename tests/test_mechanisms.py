@@ -295,3 +295,17 @@ class TestScheduleProperties:
                                     expected, rel_tol=1e-12)
                 assert math.isclose(total_reward_closed_form(n, spec),
                                     expected, rel_tol=1e-12)
+
+
+class TestNonFiniteBudget:
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+    def test_checked_spec_rejects(self, budget):
+        for make in (gcrm, dgm, delta_geom):
+            with pytest.raises(RewardDomainError):
+                make(0.3, budget)
+        with pytest.raises(RewardDomainError):
+            MechanismSpec("TDGM", 0.5, budget, beta={1: 0.5})
+
+    def test_unchecked_fixture_keeps_its_budget(self):
+        spec = MechanismSpec.unchecked("GCRM", 0.5, budget=math.nan)
+        assert math.isnan(spec.budget)

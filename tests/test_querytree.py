@@ -243,3 +243,38 @@ class TestJsonRoundTrip:
     def test_path_requires_two_nodes(self):
         with pytest.raises(InvalidTreeError):
             AllocationPath((0,))
+
+
+class TestSharedFrontierWalk:
+    def test_allocate_picks_from_the_tied_paths_with_one_draw(self):
+        import numpy as np
+        ties = 0
+        for seed in range(40):
+            tree = generate_random_tree(4, 2.0, 0.4, seed)
+            tied = tied_shortest_paths(tree)
+            path = allocate(tree, seed)
+            if not tied:
+                assert path is None
+                continue
+            ties += len(tied) > 1
+            pick = 0 if len(tied) == 1 else int(
+                np.random.default_rng(seed).integers(len(tied)))
+            assert path == tied[pick]
+        assert ties >= 10
+
+    def test_single_tied_solver_draws_nothing(self, monkeypatch):
+        from qinlab import querytree
+
+        def no_rng(seed):
+            raise AssertionError("a lone tied solver needs no tie-break")
+        monkeypatch.setattr(querytree.np.random, "default_rng", no_rng)
+        assert allocate(chain(3), 7).agents == (0, 1, 2, 3)
+
+
+class TestGenerateTreesWindow:
+    @pytest.mark.parametrize("max_nodes", [0, 1])
+    def test_empty_window_raises_instead_of_looping(self, max_nodes):
+        with pytest.raises(ValueError):
+            generate_trees(1, seed=0, max_nodes=max_nodes)
+        with pytest.raises(ValueError):
+            generate_trees(1, seed=0, max_nodes=5, min_nodes=6)
