@@ -13,6 +13,7 @@ from .querytree import (  # noqa: F401
     generate_random_tree,
     generate_trees,
     tied_shortest_paths,
+    tied_solvers,
 )
 from .mechanisms import (  # noqa: F401
     GOLDEN_ALPHA,

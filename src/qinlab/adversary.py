@@ -28,9 +28,10 @@ from .querytree import QueryTree
 class AttackOutcome:
     """Before/after payout of one attack at one position.
 
-    ``profitable`` means the payout strictly grew beyond the 1e-12 relative
-    equality tolerance; exact break-even schedules (which hit equality only
-    up to float rounding) report ``break_even`` instead.
+    ``profitable`` means the payout strictly grew beyond the 1e-12 equality
+    tolerance, relative to the largest of the budget and both payouts;
+    exact break-even schedules (which hit equality only up to float
+    rounding) report ``break_even`` instead.
     """
 
     kind: str              # "sybil" | "collusion"
@@ -38,6 +39,7 @@ class AttackOutcome:
     size: int              # fakes added (sybil) or merge size gamma+1
     reward_before: float
     reward_after: float
+    budget: float          # the spec's; floors the tolerance's scale
 
     @property
     def ratio(self) -> float:
@@ -45,7 +47,7 @@ class AttackOutcome:
 
     @property
     def _scale(self) -> float:
-        return max(1.0, self.reward_before, self.reward_after)
+        return max(self.budget, self.reward_before, self.reward_after)
 
     @property
     def profitable(self) -> bool:
@@ -73,7 +75,7 @@ def sybil_gain(spec: MechanismSpec, i: int, n: int, lam: int) -> AttackOutcome:
     before = position_reward(i, n, spec)
     after = math.fsum(position_reward(i + k, n + lam, spec)
                       for k in range(lam + 1))
-    return AttackOutcome("sybil", i, lam, before, after)
+    return AttackOutcome("sybil", i, lam, before, after, spec.budget)
 
 
 def collusion_gain(spec: MechanismSpec, i: int, n_merged: int,
@@ -89,7 +91,8 @@ def collusion_gain(spec: MechanismSpec, i: int, n_merged: int,
     before = math.fsum(position_reward(i + k, n_merged + gamma, spec)
                        for k in range(gamma + 1))
     after = position_reward(i, n_merged, spec)
-    return AttackOutcome("collusion", i, gamma + 1, before, after)
+    return AttackOutcome("collusion", i, gamma + 1, before, after,
+                         spec.budget)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import mechanisms
-from .mechanisms import RewardDomainError
-
-# |1 - alpha*(1+alpha)| below this switches f and totals to summation.
-_SINGULAR_EPS = 1e-9
+from .mechanisms import RewardDomainError, is_singular
 
 DEFAULT_SEARCH_CAP = 10_000
 
@@ -52,10 +49,6 @@ def _check_alpha(alpha: float) -> None:
         raise RewardDomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _is_singular(alpha: float) -> bool:
-    return abs(1.0 - alpha * (1.0 + alpha)) < _SINGULAR_EPS
-
-
 def sybil_factor(alpha: float, lam: int) -> float:
     """f(alpha, lam), the post-split to pre-split payout ratio.
 
@@ -65,7 +58,7 @@ def sybil_factor(alpha: float, lam: int) -> float:
     _check_alpha(alpha)
     if lam < 1:
         raise RewardDomainError(f"need at least one fake identity, got {lam}")
-    if _is_singular(alpha):
+    if is_singular(alpha):
         return sybil_factor_termwise(alpha, lam)
     u = alpha * (1.0 + alpha)
     return (1.0 - u ** (lam + 1)) / ((1.0 + alpha) ** lam * (1.0 - u))
@@ -103,7 +96,7 @@ def n_prime(alpha: float) -> float:
     is not always the nearest integer (see ``rounding_mismatches``).
     """
     _check_alpha(alpha)
-    if _is_singular(alpha):
+    if is_singular(alpha):
         raise RewardDomainError(
             "total payout has no closed-form stationary point at the golden "
             "split; use optimal_path_length, which scans")
@@ -173,7 +166,7 @@ def sybil_profile(alpha: float, lambda_max: int = 0,
     star = lambda_star(alpha, search_cap)
     top = max(star, lambda_max)
     f_values = {lam: sybil_factor(alpha, lam) for lam in range(1, top + 1)}
-    lp = lambda_prime(alpha) if not _is_singular(alpha) else float("nan")
+    lp = lambda_prime(alpha) if not is_singular(alpha) else float("nan")
     return SybilProfile(alpha, f_values, lp, star, max(f_values.values()))
 
 
@@ -187,7 +180,7 @@ def rounding_mismatches(alphas, sybil_cap: int = 1000,
     """
     out: dict[str, list[dict]] = {"sybil": [], "path_length": []}
     for alpha in alphas:
-        if _is_singular(alpha):
+        if is_singular(alpha):
             continue
         rounded = nearest_positive_int(lambda_prime(alpha))
         argmax = optimal_sybil_count(alpha, sybil_cap)
@@ -212,7 +205,7 @@ def analytic_sweep_rows(alphas, lambda_max: int = 0) -> list[tuple]:
     rows = []
     for alpha in sorted(alphas):
         profile = sybil_profile(alpha, lambda_max)
-        np_value = (n_prime(alpha) if not _is_singular(alpha)
+        np_value = (n_prime(alpha) if not is_singular(alpha)
                     else float("nan"))
         for lam in sorted(profile.f_values):
             rows.append((alpha, lam, profile.f_values[lam],

@@ -12,13 +12,18 @@ Verdict conventions:
 
 * Weak inequalities hold with equality: boundary schedules pass exactly
   where the algebra says they break even, and the report surfaces equality
-  separately (detected at 1e-12 relative).
+  separately (detected at 1e-12 relative to the larger of the budget and
+  the compared amounts).
 * A ``fail`` verdict always carries a witness whose replay through its
   property's entry in ``PROPERTIES`` reproduces the numbers bit for bit
-  (see :func:`replay_witness`).
+  (see :func:`replay_witness`), also after a round trip through JSON.
 
-Tie-breaks are handled in expectation, computed exactly by enumerating the
-tied shortest paths -- no sampling, so IC/core verdicts are deterministic.
+Tree-level checks state reports as ``querytree.AgentReport`` and find the
+tied shortest paths with allocation's own walk, ``querytree.tied_solvers``.
+Tie-breaks are handled in expectation over those paths -- no sampling, so
+IC/core verdicts are deterministic. IC and core search for the first
+blocking deviation the same way: IC over the on-path agents alone, core
+over every coalition, smaller ones first.
 
 Blocking, for the core check, means a joint deviation that every coalition
 member strictly prefers: a deviation some member loses by is not a coalition
@@ -31,6 +36,7 @@ reroute the path toward fellow members.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -40,7 +46,7 @@ import numpy as np
 from . import adversary, mechanisms, querytree
 from .mechanisms import (EQ_TOL, MechanismSpec, position_reward,
                          rewards_for_length)
-from .querytree import QueryTree, tied_shortest_paths
+from .querytree import AgentReport, QueryTree
 
 DEFAULT_N_MAX = 50
 DEFAULT_ATTACK_N_MAX = 20
@@ -283,8 +289,8 @@ def random_positive_table(rng: np.random.Generator, n_max: int,
             for n in range(1, n_max + 1) for i in range(1, n + 1)}
 
 
-def impossibility_certificate(table: Mapping[tuple[int, int], float]
-                              ) -> PropertyReport:
+def impossibility_certificate(table: Mapping[tuple[int, int], float],
+                              budget: float = 1.0) -> PropertyReport:
     """No positive schedule survives both attack inequalities.
 
     Checks three things on the table: strict positivity, the split
@@ -292,7 +298,8 @@ def impossibility_certificate(table: Mapping[tuple[int, int], float]
     three. Applying the split bound twice and combining with the merge bound
     forces x(i+1, n+2) <= 0, so a table passing all three contradicts
     positivity; the verdict is ``pass`` ("consistent") when at least one of
-    the three fails, and names which.
+    the three fails, and names which. Equality is tested at 1e-12 relative
+    to the largest of ``budget`` and the two sides.
     """
     if not table:
         raise AuditError("empty reward table")
@@ -313,7 +320,8 @@ def impossibility_certificate(table: Mapping[tuple[int, int], float]
                 rhs = table[(i, n + span)]
                 for k in range(1, span + 1):  # not sum(): 3.12 compensates
                     rhs += table[(i + k, n + span)]
-                if violated(lhs, rhs, EQ_TOL * max(1.0, abs(lhs), abs(rhs))):
+                if violated(lhs, rhs,
+                            EQ_TOL * max(budget, abs(lhs), abs(rhs))):
                     return False
         return True
 
@@ -352,30 +360,14 @@ class _DeviationEngine:
     def __init__(self, tree: QueryTree, spec: MechanismSpec):
         self.tree = tree
         self.spec = spec
-        self.root = tree.root
-        self.parent = tree.parent
-        self.truth = {n: (tree.resp[n], tree.children[n])
-                      for n in tree.nodes}
+        self.truth = querytree.ReportProfile.truthful(tree).reports
+        self.options = {a: _options(rep) for a, rep in self.truth.items()}
+        self.reward = functools.cache(lambda i, n: position_reward(i, n, spec))
         self._memo: dict[frozenset, dict[int, float]] = {}
-        self._x: dict[tuple[int, int], float] = {}
+        self.baseline = self.expected({})
+        self.coalitions = self.deviations = 0   # evaluated by first_block
 
-    def reward(self, i: int, n: int) -> float:
-        key = (i, n)
-        if key not in self._x:
-            self._x[key] = position_reward(i, n, self.spec)
-        return self._x[key]
-
-    def options(self, agent: int) -> list[tuple[bool, tuple[int, ...]]]:
-        """All reports an agent can make, truthful first. An answer can be
-        withheld but not invented; children can be pruned but not added."""
-        true_resp, true_kids = self.truth[agent]
-        resp_choices = (true_resp, False) if true_resp else (False,)
-        subsets = [tuple(combo)
-                   for r in range(len(true_kids), -1, -1)
-                   for combo in itertools.combinations(true_kids, r)]
-        return [(resp, kids) for resp in resp_choices for kids in subsets]
-
-    def expected(self, overrides: Mapping[int, tuple[bool, tuple[int, ...]]]
+    def expected(self, overrides: Mapping[int, AgentReport]
                  ) -> dict[int, float]:
         """Expected reward per agent under the given deviations (everyone
         else truthful); agents off every tied path are absent (reward 0)."""
@@ -383,134 +375,124 @@ class _DeviationEngine:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        truth = self.truth
-        frontier = [self.root]
-        depth = 0
-        tied: list[int] = []
-        while frontier:
-            tied = sorted(
-                node for node in frontier
-                if node != self.root
-                and (overrides[node][0] if node in overrides
-                     else truth[node][0]))
-            if tied:
-                break
-            nxt = []
-            for node in frontier:
-                kids = (overrides[node][1] if node in overrides
-                        else truth[node][1])
-                nxt.extend(kids)
-            frontier = nxt
-            depth += 1
+        depth, tied = querytree.tied_solvers(self.tree, overrides)
         result: dict[int, float] = {}
         if tied:
             share = 1.0 / len(tied)
+            root, parent = self.tree.root, self.tree.parent
             for solver in tied:
                 node, pos = solver, depth
-                while node != self.root:
+                while node != root:
                     result[node] = result.get(node, 0.0) + \
                         share * self.reward(pos, depth)
-                    node = self.parent[node]
+                    node = parent[node]
                     pos -= 1
         self._memo[key] = result
         return result
 
-    def on_path_agents(self) -> list[int]:
-        paths = tied_shortest_paths(self.tree)
-        return sorted({a for p in paths for a in p.agents[1:]})
+    def first_block(self, coalitions) -> Optional[tuple]:
+        """First ``(coalition, deviation, payoffs)`` every coalition member
+        strictly prefers to the truth: coalitions in the given order, member
+        reports in ``options`` order, members reporting truthfully left out
+        of the deviation. None when nothing blocks."""
+        tol = EQ_TOL * self.spec.budget
+        baseline, truth = self.baseline, self.truth
+        for coalition in coalitions:
+            self.coalitions += 1
+            for profile in itertools.product(
+                    *(self.options[a] for a in coalition)):
+                overrides = {a: rep for a, rep in zip(coalition, profile)
+                             if rep != truth[a]}
+                if not overrides:
+                    continue
+                self.deviations += 1
+                payoffs = self.expected(overrides)
+                if all(payoffs.get(a, 0.0) > baseline.get(a, 0.0) + tol
+                       for a in coalition):
+                    return coalition, overrides, payoffs
+        return None
+
+
+def _options(truth: AgentReport) -> list[AgentReport]:
+    """All reports an agent can make, truthful first. An answer can be
+    withheld but not invented; children can be pruned but not added."""
+    answers = (True, False) if truth.resp else (False,)
+    subsets = [combo for r in range(len(truth.children), -1, -1)
+               for combo in itertools.combinations(truth.children, r)]
+    return [AgentReport(resp, kids) for resp in answers for kids in subsets]
+
+
+def _report_json(report: AgentReport) -> dict:
+    return {"resp": report.resp, "children": list(report.children)}
 
 
 def expected_rewards(tree: QueryTree, spec: MechanismSpec) -> dict[int, float]:
     """Truthful expected reward per agent, exact over tie-breaks."""
-    return dict(_DeviationEngine(tree, spec).expected({}))
+    return dict(_DeviationEngine(tree, spec).baseline)
 
 
-def check_ic(tree: QueryTree, spec: MechanismSpec, rng_seed: int = 0,
+def check_ic(tree: QueryTree, spec: MechanismSpec,
              size_cap: int = DEFAULT_TREE_CAP) -> PropertyReport:
     """No on-path agent gains by withholding its answer or pruning invites.
 
     Every unilateral deviation of every agent on a tied shortest path is
     enumerated against the truthful profile; comparisons use exact expected
-    rewards, so the verdict does not depend on the seed (it is recorded for
-    witness replay through ``allocate``).
+    rewards, so no tie-break is drawn.
     """
     if len(tree.nodes) > size_cap:
         raise AuditError(f"tree has {len(tree.nodes)} nodes; IC enumeration "
                          f"is capped at {size_cap}")
     engine = _DeviationEngine(tree, spec)
-    baseline = engine.expected({})
-    agents = engine.on_path_agents()
-    tol = EQ_TOL * spec.budget
-    deviations = 0
-    for agent in agents:
-        truthful = engine.truth[agent]
-        for option in engine.options(agent):
-            if option == truthful:
-                continue
-            deviations += 1
-            payoff = engine.expected({agent: option}).get(agent, 0.0)
-            if payoff > baseline.get(agent, 0.0) + tol:
-                return PropertyReport(
-                    "ic", "fail",
-                    witness={"agent": agent,
-                             "report": {"resp": option[0],
-                                        "children": list(option[1])},
-                             "truthful_reward": baseline.get(agent, 0.0),
-                             "deviant_reward": payoff},
-                    domain={"tree_nodes": len(tree.nodes), "seed": rng_seed},
-                    details={"on_path_agents": agents})
+    agents = sorted(engine.baseline)
+    domain = {"tree_nodes": len(tree.nodes)}
+    block = engine.first_block((a,) for a in agents)
+    if block is not None:
+        (agent,), overrides, payoffs = block
+        return PropertyReport(
+            "ic", "fail",
+            witness={"agent": agent,
+                     "report": _report_json(overrides[agent]),
+                     "truthful_reward": engine.baseline[agent],
+                     "deviant_reward": payoffs[agent]},
+            domain=domain, details={"on_path_agents": agents})
     return PropertyReport(
-        "ic", "pass",
-        domain={"tree_nodes": len(tree.nodes), "seed": rng_seed},
-        details={"on_path_agents": agents, "deviations_checked": deviations})
+        "ic", "pass", domain=domain,
+        details={"on_path_agents": agents,
+                 "deviations_checked": engine.deviations})
 
 
 def check_core(tree: QueryTree, spec: MechanismSpec,
                coalition_cap: int = DEFAULT_COALITION_CAP) -> PropertyReport:
     """No coalition has a joint deviation every member strictly prefers.
 
-    Candidate coalitions are all non-empty agent subsets; for each, every
-    combination of member reports (others truthful) is evaluated in exact
-    expectation. A blocking witness names the coalition, the deviation, and
-    both payoff vectors. Singleton coalitions reduce to the IC check.
+    Candidate coalitions are all non-empty agent subsets, smaller first; for
+    each, every combination of member reports (others truthful) is evaluated
+    in exact expectation. A blocking witness names the coalition, the
+    deviation, and both payoff vectors. Singleton coalitions reduce to the
+    IC check.
     """
     if len(tree.nodes) > coalition_cap:
         raise AuditError(f"tree has {len(tree.nodes)} nodes; coalition "
                          f"enumeration is capped at {coalition_cap}")
     engine = _DeviationEngine(tree, spec)
-    baseline = engine.expected({})
     agents = sorted(tree.agents)
-    tol = EQ_TOL * spec.budget
-    option_lists = {a: engine.options(a) for a in agents}
-    coalitions = 0
-    for size in range(1, len(agents) + 1):
-        for coalition in itertools.combinations(agents, size):
-            coalitions += 1
-            for profile in itertools.product(
-                    *(option_lists[a] for a in coalition)):
-                overrides = {a: opt for a, opt in zip(coalition, profile)
-                             if opt != engine.truth[a]}
-                if not overrides:
-                    continue
-                payoffs = engine.expected(overrides)
-                if all(payoffs.get(a, 0.0) > baseline.get(a, 0.0) + tol
-                       for a in coalition):
-                    return PropertyReport(
-                        "core", "fail",
-                        witness={
-                            "coalition": list(coalition),
-                            "deviation": {
-                                a: {"resp": o[0], "children": list(o[1])}
-                                for a, o in overrides.items()},
-                            "truthful": {a: baseline.get(a, 0.0)
-                                         for a in coalition},
-                            "deviant": {a: payoffs.get(a, 0.0)
-                                        for a in coalition}},
-                        domain={"tree_nodes": len(tree.nodes)},
-                        details={"coalitions_checked": coalitions})
+    block = engine.first_block(itertools.chain.from_iterable(
+        itertools.combinations(agents, size)
+        for size in range(1, len(agents) + 1)))
+    domain = {"tree_nodes": len(tree.nodes)}
+    details = {"coalitions_checked": engine.coalitions}
+    if block is None:
+        return PropertyReport("core", "pass", domain=domain, details=details)
+    coalition, overrides, payoffs = block
     return PropertyReport(
-        "core", "pass", domain={"tree_nodes": len(tree.nodes)},
-        details={"coalitions_checked": coalitions})
+        "core", "fail",
+        witness={
+            "coalition": list(coalition),
+            "deviation": {a: _report_json(rep)
+                          for a, rep in overrides.items()},
+            "truthful": {a: engine.baseline.get(a, 0.0) for a in coalition},
+            "deviant": {a: payoffs[a] for a in coalition}},
+        domain=domain, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +529,19 @@ def _audit_trees(check: Callable, counter: str, k: dict) -> PropertyReport:
     return report
 
 
-def _replay_deviation(spec, tree, deviation, truthful, deviant) -> bool:
-    """Each member of ``truthful`` is paid as recorded and gains strictly."""
-    engine = _DeviationEngine(tree, spec)
-    baseline = engine.expected({})
-    payoffs = engine.expected({int(a): (rep["resp"], tuple(rep["children"]))
-                               for a, rep in deviation.items()})
-    return all(baseline.get(a, 0.0) == truthful[a]
-               and payoffs.get(a, 0.0) == deviant[a]
-               and payoffs.get(a, 0.0) > baseline.get(a, 0.0)
-               for a in truthful)
+def _replay_deviation(w, spec, tree, deviation, truthful, deviant) -> bool:
+    """Each member of ``truthful`` is paid as recorded and gains strictly.
+    Ids may be JSON object keys; without ``tree`` the witness's own recorded
+    tree is replayed."""
+    if tree is None and "tree" not in w:
+        raise AuditError("the witness records no tree; pass the audited one")
+    engine = _DeviationEngine(tree or querytree.tree_from_json(w["tree"]),
+                              spec)
+    payoffs = engine.expected(
+        querytree.profile_from_json({"reports": deviation}).reports)
+    return all(engine.baseline.get(int(a), 0.0) == before
+               and payoffs.get(int(a), 0.0) == deviant[a] > before
+               for a, before in truthful.items())
 
 
 # Checks are named as module globals, so a wrapper installed on this module
@@ -596,15 +581,16 @@ PROPERTIES: dict[str, AuditProperty] = {p.name: p for p in (
     AuditProperty("impossibility", "impossibility",
                   {"n_max": DEFAULT_TABLE_N_MAX},
                   lambda spec, k: impossibility_certificate(
-                      reward_table(spec, max(3, k["n_max"]))),
+                      reward_table(spec, max(3, k["n_max"])), spec.budget),
                   lambda w, spec, tree, domain: impossibility_certificate(
-                      reward_table(spec, domain["n_max"])).witness == w),
+                      reward_table(spec, domain["n_max"]),
+                      spec.budget).witness == w),
     AuditProperty("ic", "ic", {"tree": None, "trees": DEFAULT_IC_TREES,
                                "max_nodes": DEFAULT_TREE_CAP, "seed": 0},
                   lambda spec, k: _audit_trees(lambda tree, cap: check_ic(
                       tree, spec, size_cap=cap), "deviations_checked", k),
                   lambda w, spec, tree, _: _replay_deviation(
-                      spec, tree, {w["agent"]: w["report"]},
+                      w, spec, tree, {w["agent"]: w["report"]},
                       {w["agent"]: w["truthful_reward"]},
                       {w["agent"]: w["deviant_reward"]})),
     AuditProperty("core", "core", {"tree": None, "trees": DEFAULT_CORE_TREES,
@@ -613,7 +599,8 @@ PROPERTIES: dict[str, AuditProperty] = {p.name: p for p in (
                   lambda spec, k: _audit_trees(lambda tree, cap: check_core(
                       tree, spec, coalition_cap=cap), "coalitions_checked", k),
                   lambda w, spec, tree, _: _replay_deviation(
-                      spec, tree, w["deviation"], w["truthful"], w["deviant"])),
+                      w, spec, tree, w["deviation"], w["truthful"],
+                      w["deviant"])),
 )}
 
 KNOBS = frozenset(key for p in PROPERTIES.values() for key in p.defaults)

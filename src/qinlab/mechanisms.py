@@ -47,8 +47,14 @@ GOLDEN_ALPHA = (math.sqrt(5.0) - 1.0) / 2.0  # alpha*(1+alpha) = 1
 # this precision, and strict comparisons must clear it.
 EQ_TOL = 1e-12
 
-# |1 - alpha*(1+alpha)| below this uses the summation fallback for totals.
 _SINGULAR_EPS = 1e-9
+
+
+def is_singular(alpha: float) -> bool:
+    """alpha is within _SINGULAR_EPS of the golden point, where the closed
+    forms in u = alpha*(1+alpha) degenerate and summation takes over."""
+    return abs(1.0 - alpha * (1.0 + alpha)) < _SINGULAR_EPS
+
 
 BetaSchedule = Union[str, Mapping[int, float], None]
 
@@ -239,9 +245,9 @@ def total_reward_closed_form(n: int, spec: MechanismSpec) -> float:
     a = spec.alpha
     if spec.family == TDGM:
         return (1.0 - a ** n) / (1.0 - a) * spec.beta_value(n)
-    u = a * (1.0 + a)
-    if abs(1.0 - u) < _SINGULAR_EPS:
+    if is_singular(a):
         return rewards_for_length(n, spec).total
+    u = a * (1.0 + a)
     return (1.0 - u ** n) / ((1.0 + a) ** n * (1.0 - u)) * spec.budget
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -122,8 +122,7 @@ class QueryTree:
                       if n != self.root and self.resp[n])
 
 
-@dataclass(frozen=True)
-class AgentReport:
+class AgentReport(NamedTuple):
     """One agent's reported action: claimed answer and forwarded children."""
 
     resp: bool
@@ -216,16 +215,22 @@ def derive_reported_tree(tree: QueryTree, profile: ReportProfile) -> QueryTree:
     return QueryTree(tree.root, children, resp)
 
 
-def _tied_solvers(tree_reported: QueryTree) -> list[int]:
-    """Sorted minimum-depth reported solvers; empty when none is reachable."""
-    frontier = [tree_reported.root]
+def tied_solvers(tree: QueryTree, reports: Mapping[int, AgentReport] = {}
+                 ) -> tuple[int, list[int]]:
+    """Depth and sorted ids of the minimum-depth solvers, ``(0, [])`` when
+    none is reachable. The agents in ``reports`` report as given (withheld
+    answers, pruned children); everyone else reports truthfully."""
+    root = tree.root
+    frontier, depth = [root], 0
     while frontier:
-        tied = sorted(n for n in frontier
-                      if n != tree_reported.root and tree_reported.resp[n])
+        tied = sorted(n for n in frontier if n != root and (
+            reports[n].resp if n in reports else tree.resp[n]))
         if tied:
-            return tied
-        frontier = [c for n in frontier for c in tree_reported.children[n]]
-    return []
+            return depth, tied
+        frontier = [c for n in frontier for c in (
+            reports[n].children if n in reports else tree.children[n])]
+        depth += 1
+    return 0, []
 
 
 def allocate(tree_reported: QueryTree, rng_seed: int) -> Optional[AllocationPath]:
@@ -236,7 +241,7 @@ def allocate(tree_reported: QueryTree, rng_seed: int) -> Optional[AllocationPath
     ``numpy.random.default_rng(rng_seed)``, so a recorded seed replays the
     exact outcome; a single tied solver draws nothing.
     """
-    tied = _tied_solvers(tree_reported)
+    _, tied = tied_solvers(tree_reported)
     if not tied:
         return None
     pick = 0 if len(tied) == 1 else int(
@@ -248,7 +253,7 @@ def tied_shortest_paths(tree_reported: QueryTree) -> list[AllocationPath]:
     """All minimum-depth solver paths; the tie-break picks uniformly among
     these. Empty list when no solver is reachable."""
     return [AllocationPath(_path_to(tree_reported, s))
-            for s in _tied_solvers(tree_reported)]
+            for s in tied_solvers(tree_reported)[1]]
 
 
 def _path_to(tree: QueryTree, node: int) -> tuple[int, ...]:
@@ -357,6 +362,9 @@ def tree_from_json(doc: Mapping) -> QueryTree:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidTreeError(f"malformed tree document: {exc}") from exc
     nodes = {root} | {n for e in edges for n in e}
+    unknown = resp.keys() - nodes
+    if unknown:
+        raise InvalidTreeError(f"resp for unknown nodes {sorted(unknown)}")
     children = {n: tuple(sorted(c for p, c in edges if p == n))
                 for n in nodes}
     full_resp = {n: resp.get(n, False) for n in nodes}

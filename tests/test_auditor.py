@@ -1,6 +1,7 @@
 """Property verdicts: pass/fail patterns, witnesses, replay, oracles."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -422,6 +423,17 @@ def _planted_failures():
     }
 
 
+def _nudged(report, *path):
+    """Copy of ``report`` with the witness float at ``path`` one ulp up."""
+    nudged = copy.deepcopy(report)
+    *outer, last = path
+    holder = nudged.witness
+    for key in outer:
+        holder = holder[key]
+    holder[last] = math.nextafter(holder[last], math.inf)
+    return nudged
+
+
 class TestRegistry:
     def test_order_and_spellings(self):
         assert list(PROPERTIES) == ["po", "bb", "split", "sp", "cp",
@@ -437,13 +449,7 @@ class TestRegistry:
             assert report.verdict == "fail", name
             assert report.property == PROPERTIES[name].report
             assert replay_witness(report, spec, tree), name
-            nudged = copy.deepcopy(report)
-            *outer, last = path
-            holder = nudged.witness
-            for key in outer:
-                holder = holder[key]
-            holder[last] = math.nextafter(holder[last], math.inf)
-            assert not replay_witness(nudged, spec, tree), name
+            assert not replay_witness(_nudged(report, *path), spec, tree), name
 
     def test_forged_impossibility_failure_does_not_replay(self):
         [report] = audit(["impossibility"], DGM06)
@@ -492,3 +498,44 @@ class TestRegistry:
             audit(["bogus"], GCRM05)
         with pytest.raises(TypeError):
             audit(["po"], GCRM05, nmax=5)
+
+
+class TestJsonWitnessReplay:
+    def test_round_tripped_batch_witness_replays_without_the_tree(self):
+        spec = MechanismSpec("TDGM", 0.2, beta={
+            n: beta_cp(n, 1.0, 0.2) * min(1.0, 0.01 * 12 ** (n - 1))
+            for n in range(1, 11)})
+        ic, core = audit(["ic", "core"], spec, trees=20, seed=3)
+        member = str(core.witness["coalition"][0])
+        for report, path in ((ic, ("deviant_reward",)),
+                             (core, ("deviant", member))):
+            assert not report.passed
+            back = PropertyReport(**json.loads(json.dumps(report.to_json())))
+            assert replay_witness(back, spec), report.property
+            assert not replay_witness(_nudged(back, *path), spec)
+
+    def test_witness_of_a_given_tree_needs_that_tree(self):
+        spec, tree = _longer_path_case()
+        for report in audit(["ic", "core"], spec, tree=tree):
+            assert "seed" not in report.domain
+            back = PropertyReport(**json.loads(json.dumps(report.to_json())))
+            assert replay_witness(back, spec, tree)
+            with pytest.raises(AuditError):
+                replay_witness(back, spec)
+
+
+class TestBudgetScaledTolerance:
+    def test_tiny_budget_sp_fails_where_budget_one_does(self):
+        at_one = check_sp(delta_geom(0.6))
+        tiny = check_sp(delta_geom(0.6, 1e-13))
+        assert not at_one.passed and not tiny.passed
+        assert [tiny.witness[k] for k in ("i", "n", "lambda")] == \
+            [at_one.witness[k] for k in ("i", "n", "lambda")]
+
+    def test_tiny_budget_certificate_passes(self):
+        spec = gcrm(0.5, 1e-13)
+        [report] = audit(["impossibility"], spec)
+        assert report.passed
+        assert report.details["failed_properties"] == ["sp_m1"]
+        assert impossibility_certificate(reward_table(spec, 6),
+                                         spec.budget).passed

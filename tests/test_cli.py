@@ -276,3 +276,16 @@ class TestAuditRegistry:
                      "--property", "bb", "--n-max", "2000"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestTreeDocumentErrors:
+    def test_resp_for_unknown_id_exit_2(self, tmp_path, capsys):
+        doc = tree_to_json(QueryTree(0, {0: (1,), 1: ()},
+                                     {0: False, 1: True}))
+        doc["resp"]["7"] = 1
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert main(["allocate", "--tree", str(path)]) == 2
+        assert "unknown nodes [7]" in capsys.readouterr().err
+        assert main(["audit", "--mechanism", "gcrm", "--alpha", "0.5",
+                     "--property", "ic", "--tree", str(path)]) == 2

@@ -87,6 +87,23 @@ class TestSpecValidation:
                 json.loads(json.dumps(spec.to_json())))
             assert back == spec
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip_exactly_on_random_specs(self, data):
+        alpha = data.draw(st.floats(0.01, 0.99))
+        budget = data.draw(st.floats(1e-6, 1e6))
+        beta = data.draw(st.sampled_from([None, "sp", "cp", "table"]))
+        if beta == "table":
+            lengths = data.draw(st.sets(st.integers(1, 30), min_size=1))
+            beta = {n: beta_cp(n, budget, alpha) * data.draw(
+                        st.floats(0.01, 1.0)) for n in lengths}
+        spec = MechanismSpec("GCRM" if beta is None else "TDGM", alpha,
+                             budget, beta)
+        doc = json.loads(json.dumps(spec.to_json()))
+        back = MechanismSpec.from_json(doc)
+        assert back == spec
+        assert back.to_json() == doc
+
 
 class TestTdgmReward:
     def test_solver_gets_beta(self):

@@ -1,6 +1,7 @@
 """Tree model, report derivation, allocation, and fixtures."""
 
 import collections
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from qinlab.querytree import (
     generate_trees,
     profile_from_json,
     tied_shortest_paths,
+    tied_solvers,
     tree_from_json,
     tree_to_json,
 )
@@ -240,6 +242,23 @@ class TestJsonRoundTrip:
         with pytest.raises(InvalidTreeError):
             tree_from_json({"edges": [[0, 1]]})
 
+    def test_resp_for_unknown_id_rejected(self):
+        doc = tree_to_json(two_branch())
+        doc["resp"]["9"] = 1
+        with pytest.raises(InvalidTreeError, match="unknown nodes \\[9\\]"):
+            tree_from_json(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_documents_round_trip_exactly(self, data):
+        tree, reports = data.draw(trees_with_reports())
+        profile = ReportProfile(reports)
+        doc = json.loads(json.dumps(tree_to_json(tree, profile)))
+        back = tree_from_json(doc)
+        assert back == tree
+        assert profile_from_json(doc) == profile
+        assert tree_to_json(back, profile_from_json(doc)) == doc
+
     def test_path_requires_two_nodes(self):
         with pytest.raises(InvalidTreeError):
             AllocationPath((0,))
@@ -269,6 +288,45 @@ class TestSharedFrontierWalk:
             raise AssertionError("a lone tied solver needs no tie-break")
         monkeypatch.setattr(querytree.np.random, "default_rng", no_rng)
         assert allocate(chain(3), 7).agents == (0, 1, 2, 3)
+
+
+@st.composite
+def trees_with_reports(draw):
+    """A random tree and valid reports for some of its agents: answers
+    withheld, children pruned, nothing invented."""
+    tree = generate_random_tree(draw(st.integers(1, 4)),
+                                draw(st.floats(0.5, 2.5)),
+                                draw(st.floats(0.0, 1.0)),
+                                draw(st.integers(0, 10_000)))
+    reports = {}
+    for agent in draw(st.sets(st.sampled_from(sorted(tree.nodes)))):
+        if agent == tree.root:
+            continue
+        kids = tree.children[agent]
+        keep = draw(st.lists(st.booleans(), min_size=len(kids),
+                             max_size=len(kids)))
+        reports[agent] = AgentReport(
+            tree.resp[agent] and draw(st.booleans()),
+            tuple(k for k, kept in zip(kids, keep) if kept))
+    return tree, reports
+
+
+class TestTiedSolvers:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_overrides_match_the_walk_over_the_derived_tree(self, data):
+        tree, reports = data.draw(trees_with_reports())
+        derived = derive_reported_tree(tree, ReportProfile(reports))
+        assert tied_solvers(tree, reports) == tied_solvers(derived)
+
+    def test_depth_and_sorted_ties(self):
+        children = {0: (2, 1), 1: (3,), 2: (4,), 3: (), 4: ()}
+        resp = {0: False, 1: False, 2: False, 3: True, 4: True}
+        tree = QueryTree(0, children, resp)
+        assert tied_solvers(tree) == (2, [3, 4])
+        assert tied_solvers(tree, {2: AgentReport(False, ())}) == (2, [3])
+        assert tied_solvers(tree, {1: AgentReport(False, ()),
+                                   2: AgentReport(False, ())}) == (0, [])
 
 
 class TestGenerateTreesWindow:
