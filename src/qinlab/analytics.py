@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import mechanisms
-from .mechanisms import RewardDomainError, is_singular
+from .mechanisms import RewardDomainError, check_alpha, is_singular
 
 DEFAULT_SEARCH_CAP = 10_000
 
@@ -44,18 +44,13 @@ class SearchExhaustedError(RuntimeError):
     """No qualifying integer found below the search cap."""
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise RewardDomainError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def sybil_factor(alpha: float, lam: int) -> float:
     """f(alpha, lam), the post-split to pre-split payout ratio.
 
     Closed form away from the golden point; there the geometric sum
     degenerates and the term-wise value (lam+1) * alpha^lam is returned.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if lam < 1:
         raise RewardDomainError(f"need at least one fake identity, got {lam}")
     if is_singular(alpha):
@@ -66,7 +61,7 @@ def sybil_factor(alpha: float, lam: int) -> float:
 
 def sybil_factor_termwise(alpha: float, lam: int) -> float:
     """Independent summation oracle: sum_k alpha^(lam-k) (1+alpha)^-k."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if lam < 1:
         raise RewardDomainError(f"need at least one fake identity, got {lam}")
     return math.fsum(alpha ** (lam - k) / (1.0 + alpha) ** k
@@ -95,7 +90,7 @@ def n_prime(alpha: float) -> float:
     ceil(n'), floored to 1: whichever pays more. The peak is skewed, so that
     is not always the nearest integer (see ``rounding_mismatches``).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if is_singular(alpha):
         raise RewardDomainError(
             "total payout has no closed-form stationary point at the golden "
@@ -114,7 +109,7 @@ def lambda_star(alpha: float, search_cap: int = DEFAULT_SEARCH_CAP) -> int:
 
     Always at least 2: a single extra identity pays under every alpha.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     for lam in range(1, search_cap + 1):
         if sybil_factor(alpha, lam) <= 1.0:
             return lam
@@ -126,7 +121,7 @@ def lambda_star(alpha: float, search_cap: int = DEFAULT_SEARCH_CAP) -> int:
 def optimal_sybil_count(alpha: float, search_cap: int = 1000) -> int:
     """Brute-force integer argmax of f(alpha, .); the scan is the oracle the
     rounded stationary point is judged against."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return max(range(1, search_cap + 1),
                key=lambda lam: sybil_factor(alpha, lam))
 
@@ -137,7 +132,7 @@ def optimal_path_length(alpha: float, search_cap: int = 200,
 
     Works at the golden point too, where the total is n * alpha^n * budget.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     spec = mechanisms.gcrm(alpha, budget)
     return max(range(1, search_cap + 1),
                key=lambda n: mechanisms.rewards_for_length(n, spec).total)

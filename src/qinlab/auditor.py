@@ -46,7 +46,7 @@ import numpy as np
 from . import adversary, mechanisms, querytree
 from .mechanisms import (EQ_TOL, MechanismSpec, position_reward,
                          rewards_for_length)
-from .querytree import AgentReport, QueryTree
+from .querytree import AgentReport, InvalidTreeError, QueryTree
 
 DEFAULT_N_MAX = 50
 DEFAULT_ATTACK_N_MAX = 20
@@ -530,15 +530,20 @@ def _audit_trees(check: Callable, counter: str, k: dict) -> PropertyReport:
 
 
 def _replay_deviation(w, spec, tree, deviation, truthful, deviant) -> bool:
-    """Each member of ``truthful`` is paid as recorded and gains strictly.
-    Ids may be JSON object keys; without ``tree`` the witness's own recorded
+    """Each member of ``truthful`` is paid as recorded and gains strictly,
+    by a deviation the tree allows (no invented answer, no non-child). Ids
+    may be JSON object keys; without ``tree`` the witness's own recorded
     tree is replayed."""
     if tree is None and "tree" not in w:
         raise AuditError("the witness records no tree; pass the audited one")
     engine = _DeviationEngine(tree or querytree.tree_from_json(w["tree"]),
                               spec)
-    payoffs = engine.expected(
-        querytree.profile_from_json({"reports": deviation}).reports)
+    profile = querytree.profile_from_json({"reports": deviation})
+    try:
+        profile.validate_against(engine.tree)
+    except InvalidTreeError:
+        return False
+    payoffs = engine.expected(profile.reports)
     return all(engine.baseline.get(int(a), 0.0) == before
                and payoffs.get(int(a), 0.0) == deviant[a] > before
                for a, before in truthful.items())

@@ -63,6 +63,12 @@ class RewardDomainError(ValueError):
     """Raised for positions, lengths, or parameters outside the domain."""
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject alpha outside the open interval (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise RewardDomainError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class MechanismSpec:
     """Family tag plus parameters; validated on construction.
@@ -95,8 +101,7 @@ class MechanismSpec:
     def validate(self) -> None:
         if self.family not in (TDGM, GCRM):
             raise RewardDomainError(f"unknown family {self.family!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise RewardDomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if not 0.0 < self.budget < math.inf:
             raise RewardDomainError(f"budget must be positive and finite, "
                                     f"got {self.budget}")

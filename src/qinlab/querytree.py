@@ -6,6 +6,11 @@ cannot. Agents report a possibly-withheld answer and a subset of their
 children; allocation walks the *reported* tree and picks a minimum-depth
 solver, breaking ties uniformly at random with a seeded generator.
 
+Every operation here costs time linear in the tree size, up to sorting ids:
+the JSON loader builds the children lists in one pass over the edges, a tree
+computes its node sets once, and the generator pops its BFS frontier from a
+deque.
+
 All types are immutable after construction. Operations are pure given the
 seed: the RNG (numpy PCG64 via ``default_rng``) is instantiated per call and
 never shared, so everything here is safe to evaluate concurrently.
@@ -13,6 +18,7 @@ never shared, so everything here is safe to evaluate concurrently.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -86,11 +92,11 @@ class QueryTree:
                         nxt.append(child)
             frontier = nxt
 
-    @property
+    @cached_property
     def nodes(self) -> frozenset[int]:
         return frozenset(self.children)
 
-    @property
+    @cached_property
     def agents(self) -> frozenset[int]:
         """All nodes except the owner."""
         return frozenset(n for n in self.children if n != self.root)
@@ -106,15 +112,6 @@ class QueryTree:
             for child in self.children[node]:
                 depths[child] = depths[node] + 1
         return depths
-
-    def subtree(self, node: int) -> set[int]:
-        """All descendants of ``node``, including itself."""
-        out, stack = set(), [node]
-        while stack:
-            cur = stack.pop()
-            out.add(cur)
-            stack.extend(self.children[cur])
-        return out
 
     def solvers(self) -> list[int]:
         """Non-root nodes whose resp flag is set, in id order."""
@@ -180,10 +177,6 @@ class AllocationPath:
     @property
     def solver(self) -> int:
         return self.agents[-1]
-
-    def position(self, node: int) -> int:
-        """1-based depth of ``node`` on this path (root excluded)."""
-        return self.agents.index(node)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +280,9 @@ def generate_random_tree(max_depth: int, branching_mean: float,
     children: dict[int, tuple[int, ...]] = {}
     resp: dict[int, bool] = {ROOT_ID: False}
     next_id = ROOT_ID + 1
-    frontier = [(ROOT_ID, 0)]
+    frontier = deque([(ROOT_ID, 0)])
     while frontier:
-        node, depth = frontier.pop(0)
+        node, depth = frontier.popleft()
         if depth >= max_depth:
             children[node] = ()
             continue
@@ -365,8 +358,10 @@ def tree_from_json(doc: Mapping) -> QueryTree:
     unknown = resp.keys() - nodes
     if unknown:
         raise InvalidTreeError(f"resp for unknown nodes {sorted(unknown)}")
-    children = {n: tuple(sorted(c for p, c in edges if p == n))
-                for n in nodes}
+    kids: dict[int, list[int]] = {n: [] for n in nodes}
+    for p, c in edges:
+        kids[p].append(c)
+    children = {n: tuple(sorted(kids[n])) for n in nodes}
     full_resp = {n: resp.get(n, False) for n in nodes}
     return QueryTree(root, children, full_resp)
 

@@ -1,8 +1,11 @@
 """Attack transformations: gains, tree surgery, cross-module agreement."""
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinlab import analytics, mechanisms
 from qinlab.adversary import (
@@ -16,6 +19,14 @@ from qinlab.mechanisms import RewardDomainError, delta_geom, dgm, gcrm
 from qinlab.querytree import QueryTree, allocate
 
 ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
 
 
 class TestSybilGain:
@@ -186,6 +197,27 @@ class TestScenarios:
                                 "n": 2})
         with pytest.raises(RewardDomainError):
             scenario_from_json({"kind": "sybil", "size": 1, "n": 2})
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip_and_rejections(self, data):
+        kind = data.draw(st.sampled_from(["sybil", "collusion"]))
+        n = data.draw(st.integers(1, 50))
+        doc = {"kind": kind, "position": data.draw(st.integers(1, n)),
+               "size": data.draw(st.integers(1 + (kind == "collusion"), 20)),
+               "n": n}
+        assert scenario_from_json(json.loads(json.dumps(doc))) == doc
+        wrong_kind = data.draw(st.text().filter(
+            lambda k: k not in ("sybil", "collusion")))
+        with pytest.raises(RewardDomainError):
+            scenario_from_json({**doc, "kind": wrong_kind})
+        field = data.draw(st.sampled_from(["position", "size", "n"]))
+        value = data.draw(st.one_of(
+            st.none(), st.just(math.nan), st.lists(st.integers()),
+            st.dictionaries(st.text(), st.integers()),
+            st.text().filter(_not_an_int)))
+        with pytest.raises(RewardDomainError):
+            scenario_from_json(json.loads(json.dumps({**doc, field: value})))
 
     def test_outcome_json_fields(self):
         doc = sybil_gain(gcrm(0.5), 1, 2, 1).to_json()

@@ -524,6 +524,29 @@ class TestJsonWitnessReplay:
                 replay_witness(back, spec)
 
 
+class TestForgedDeviationWitnesses:
+    @pytest.mark.parametrize("report", [
+        {"resp": True, "children": []},      # agent 1 cannot answer
+        {"resp": False, "children": [3]},    # 3 is not agent 1's child
+    ])
+    def test_deviation_the_tree_does_not_allow_never_replays(self, report):
+        # on the chain only 3 answers; agent 1 "answering" would be paid
+        # the whole one-hop reward x(1, 1) instead of its truthful x(1, 3)
+        tree = chain3()
+        truthful = expected_rewards(tree, GCRM05)[1]
+        deviant = mechanisms.position_reward(1, 1, GCRM05)
+        assert (truthful, deviant) == (pytest.approx(1 / 6),
+                                       pytest.approx(2 / 3))
+        ic = PropertyReport("ic", "fail", domain={}, witness={
+            "agent": 1, "report": report, "truthful_reward": truthful,
+            "deviant_reward": deviant})
+        core = PropertyReport("core", "fail", domain={}, witness={
+            "coalition": [1], "deviation": {"1": report},
+            "truthful": {"1": truthful}, "deviant": {"1": deviant}})
+        for forged in (ic, core):
+            assert not replay_witness(forged, GCRM05, tree), forged.property
+
+
 class TestBudgetScaledTolerance:
     def test_tiny_budget_sp_fails_where_budget_one_does(self):
         at_one = check_sp(delta_geom(0.6))

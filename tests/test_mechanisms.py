@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qinlab import analytics
 from qinlab.mechanisms import (
     GOLDEN_ALPHA,
     MechanismSpec,
@@ -44,6 +46,17 @@ class TestSpecValidation:
             gcrm(1.0)
         with pytest.raises(RewardDomainError):
             delta_geom(1.2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.2, math.nan,
+                                       math.inf])
+    def test_specs_and_analytics_share_one_alpha_check(self, alpha):
+        message = re.escape(f"alpha must lie in (0, 1), got {alpha}")
+        for call in (lambda: gcrm(alpha),
+                     lambda: MechanismSpec("TDGM", alpha, beta="cp"),
+                     lambda: analytics.sybil_factor(alpha, 1),
+                     lambda: analytics.n_prime(alpha)):
+            with pytest.raises(RewardDomainError, match=message):
+                call()
 
     def test_budget_positive(self):
         with pytest.raises(RewardDomainError):

@@ -1,10 +1,13 @@
 """Tree model, report derivation, allocation, and fixtures."""
 
 import collections
+import hashlib
 import json
+import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qinlab.querytree import (
@@ -35,11 +38,66 @@ def chain(length, solver_last=True):
     return QueryTree(0, children, resp)
 
 
+def subtree(tree, node):
+    """All descendants of ``node`` in ``tree``, including itself."""
+    out, stack = set(), [node]
+    while stack:
+        cur = stack.pop()
+        out.add(cur)
+        stack.extend(tree.children[cur])
+    return out
+
+
 def two_branch():
     """root -> {1 -> 2 (answers at depth 2), 3 -> 4 -> 5 (answers at 3)}."""
     children = {0: (1, 3), 1: (2,), 2: (), 3: (4,), 4: (5,), 5: ()}
     resp = {0: False, 1: False, 2: True, 3: False, 4: False, 5: True}
     return QueryTree(0, children, resp)
+
+
+# SHA-256 over json.dumps(tree_to_json(t)) for the trees of
+# TestGenerateRandomTree.test_seeded_trees_match_the_golden_digest
+GOLDEN_TREES_SHA256 = \
+    "d94b1c3ba542eb441d1b0de16d1eb2130ec98b5b02b7cd66b7be363895d5a43a"
+
+
+def tree_from_json_by_edge_scan(doc):
+    """Reference loader for tree_from_json: each node scans the whole edge
+    list for its children (quadratic in the tree size)."""
+    try:
+        root = int(doc["root"])
+        edges = [(int(p), int(c)) for p, c in doc["edges"]]
+        resp = {int(k): bool(v) for k, v in doc.get("resp", {}).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidTreeError(f"malformed tree document: {exc}") from exc
+    nodes = {root} | {n for e in edges for n in e}
+    unknown = resp.keys() - nodes
+    if unknown:
+        raise InvalidTreeError(f"resp for unknown nodes {sorted(unknown)}")
+    children = {n: tuple(sorted(c for p, c in edges if p == n))
+                for n in nodes}
+    full_resp = {n: resp.get(n, False) for n in nodes}
+    return QueryTree(root, children, full_resp)
+
+
+@st.composite
+def edge_documents(draw):
+    """Tree documents from random edge lists: a random tree on shuffled ids
+    in shuffled edge order, plus stray edges (duplicates, cycles, second
+    parents, self loops) and sometimes a root that is not the tree's."""
+    size = draw(st.integers(1, 10))
+    ids = draw(st.permutations(range(size + 3)))[:size]
+    edges = [[ids[draw(st.integers(0, j - 1))], ids[j]]
+             for j in range(1, size)]
+    stray = st.lists(st.sampled_from(ids), min_size=2, max_size=2)
+    if edges:
+        stray = st.one_of(stray, st.sampled_from(edges))
+    edges = draw(st.permutations(edges + draw(st.lists(stray, max_size=2))))
+    root = draw(st.one_of(st.just(ids[0]), st.sampled_from(ids),
+                          st.just(size + 3)))
+    answering = draw(st.sets(st.sampled_from(ids + [size + 4])))
+    return {"root": root, "edges": edges,
+            "resp": {str(n): draw(st.integers(0, 1)) for n in answering}}
 
 
 class TestQueryTreeInvariants:
@@ -64,7 +122,13 @@ class TestQueryTreeInvariants:
         tree = two_branch()
         assert tree.depth == {0: 0, 1: 1, 3: 1, 2: 2, 4: 2, 5: 3}
         assert tree.parent[5] == 4
-        assert tree.subtree(3) == {3, 4, 5}
+        assert subtree(tree, 3) == {3, 4, 5}
+
+    def test_node_sets_are_built_once(self):
+        tree = two_branch()
+        assert tree.nodes is tree.nodes
+        assert tree.agents is tree.agents
+        assert tree.agents == tree.nodes - {tree.root}
 
 
 class TestDeriveReportedTree:
@@ -99,7 +163,7 @@ class TestDeriveReportedTree:
                 reachable.add(kid)
                 frontier.append(kid)
         assert derived.nodes == reachable
-        assert len(derived.nodes) == 7 - len(tree.subtree(2))
+        assert len(derived.nodes) == 7 - len(subtree(tree, 2))
 
     def test_withheld_answer_reflected_in_resp(self):
         tree = chain(2)
@@ -170,7 +234,7 @@ class TestAllocate:
             if path is None:
                 continue
             for agent in path.agents[1:-1]:
-                assert path.solver in tree.subtree(agent)
+                assert path.solver in subtree(tree, agent)
 
     def test_tied_shortest_paths_enumeration(self):
         children = {0: (1, 2), 1: (3,), 2: (4,), 3: (), 4: ()}
@@ -202,6 +266,18 @@ class TestGenerateRandomTree:
             total += len(agents)
             yes += sum(tree.resp[a] for a in agents)
         assert abs(yes / total - 0.3) < 0.03
+
+    def test_seeded_trees_match_the_golden_digest(self):
+        # seeded trees stay identical node for node: a different draw order
+        # or id assignment moves this digest
+        trees = [generate_random_tree(4, 2.2, 0.3, s, exact_branching=exact)
+                 for s in range(300) for exact in (False, True)]
+        trees += generate_trees(200, 5, 12)
+        trees.append(generate_random_tree(8, 3.0, 0.01, seed=0))
+        digest = hashlib.sha256()
+        for tree in trees:
+            digest.update(json.dumps(tree_to_json(tree)).encode())
+        assert digest.hexdigest() == GOLDEN_TREES_SHA256
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -258,6 +334,23 @@ class TestJsonRoundTrip:
         assert back == tree
         assert profile_from_json(doc) == profile
         assert tree_to_json(back, profile_from_json(doc)) == doc
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=edge_documents())
+    @example(doc={"root": 0, "edges": [[0, 1], [0, 1]], "resp": {}})
+    @example(doc={"root": 7, "edges": [[0, 1]], "resp": {"1": 1}})
+    @example(doc={"root": 0, "edges": [[0, 1], [2, 3], [3, 2]], "resp": {}})
+    def test_loader_matches_the_edge_scan_oracle(self, doc):
+        try:
+            expected = tree_from_json_by_edge_scan(doc)
+        except InvalidTreeError as exc:
+            with pytest.raises(InvalidTreeError) as raised:
+                tree_from_json(doc)
+            assert str(raised.value) == str(exc)
+            return
+        tree = tree_from_json(doc)
+        assert tree == expected
+        assert list(tree.children) == list(expected.children)
 
     def test_path_requires_two_nodes(self):
         with pytest.raises(InvalidTreeError):
@@ -336,3 +429,23 @@ class TestGenerateTreesWindow:
             generate_trees(1, seed=0, max_nodes=max_nodes)
         with pytest.raises(ValueError):
             generate_trees(1, seed=0, max_nodes=5, min_nodes=6)
+
+
+class TestLargeTrees:
+    def test_hundred_thousand_nodes_load_derive_and_allocate_in_seconds(self):
+        # a random recursive tree: large and shallow. The linear tree layer
+        # takes well under a second here; a per-node edge scan takes minutes
+        rng = random.Random(0)
+        size = 100_000
+        text = json.dumps({
+            "root": 0,
+            "edges": [[rng.randrange(j), j] for j in range(1, size)],
+            "resp": {str(j): int(j % 97 == 0) for j in range(size)}})
+        start = time.perf_counter()
+        tree = tree_from_json(json.loads(text))
+        derived = derive_reported_tree(tree, ReportProfile.truthful(tree))
+        path = allocate(derived, 0)
+        elapsed = time.perf_counter() - start
+        assert derived == tree
+        assert path.n == min(tree.depth[s] for s in tree.solvers())
+        assert elapsed < 10.0
