@@ -12,7 +12,6 @@ from .querytree import (  # noqa: F401
     derive_reported_tree,
     generate_random_tree,
     generate_trees,
-    tied_shortest_paths,
     tied_solvers,
 )
 from .mechanisms import (  # noqa: F401

@@ -1,13 +1,13 @@
 """Attack transformations on allocation paths and trees.
 
-Two bookkeeping-inverse moves, stated purely on path indices:
+One move, read in two directions, stated purely on path indices:
 
 * **Sybil split** -- one agent at position i becomes lam+1 consecutive
   identities, stretching the path from n to n+lam; the attacker collects
   positions i..i+lam.
-* **Collusion merge** -- gamma+1 consecutive agents at positions i..i+gamma
-  collapse into one identity, shrinking the path from n+gamma to n; the
-  merged agent collects position i alone.
+* **Collusion merge** -- the split run backwards: gamma+1 consecutive agents
+  at positions i..i+gamma collapse into one identity, shrinking the path
+  from n+gamma to n; the merged agent collects position i alone.
 
 The structural realization on trees inserts a linear chain (each fake invites
 the next); which identities share an owner is recorded in a principal map
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .mechanisms import EQ_TOL, MechanismSpec, RewardDomainError, position_reward
-from .querytree import QueryTree
+from .querytree import QueryTree, _json_int
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,23 @@ class AttackOutcome:
                 "profitable": self.profitable}
 
 
+def _split(spec: MechanismSpec, i: int, n: int,
+           lam: int) -> tuple[float, float]:
+    """A split's pair: x(i, n) and the fsum of x(i+k, n+lam), k = 0..lam."""
+    if not 1 <= i <= n:
+        raise RewardDomainError(f"position {i} outside 1..{n}")
+    return (position_reward(i, n, spec),
+            math.fsum(position_reward(i + k, n + lam, spec)
+                      for k in range(lam + 1)))
+
+
 def sybil_gain(spec: MechanismSpec, i: int, n: int, lam: int) -> AttackOutcome:
     """Outcome of splitting position i on a length-n path into lam+1
     identities: before = x(i, n), after = sum_k x(i+k, n+lam)."""
     if lam < 1:
         raise RewardDomainError(f"need at least one fake identity, got {lam}")
-    if not 1 <= i <= n:
-        raise RewardDomainError(f"position {i} outside 1..{n}")
-    before = position_reward(i, n, spec)
-    after = math.fsum(position_reward(i + k, n + lam, spec)
-                      for k in range(lam + 1))
-    return AttackOutcome("sybil", i, lam, before, after, spec.budget)
+    return AttackOutcome("sybil", i, lam, *_split(spec, i, n, lam),
+                         spec.budget)
 
 
 def collusion_gain(spec: MechanismSpec, i: int, n_merged: int,
@@ -86,11 +92,7 @@ def collusion_gain(spec: MechanismSpec, i: int, n_merged: int,
     if gamma < 1:
         raise RewardDomainError(f"need at least two agents to merge, got "
                                 f"gamma={gamma}")
-    if not 1 <= i <= n_merged:
-        raise RewardDomainError(f"position {i} outside 1..{n_merged}")
-    before = math.fsum(position_reward(i + k, n_merged + gamma, spec)
-                       for k in range(gamma + 1))
-    after = position_reward(i, n_merged, spec)
+    after, before = _split(spec, i, n_merged, gamma)
     return AttackOutcome("collusion", i, gamma + 1, before, after,
                          spec.budget)
 
@@ -147,9 +149,9 @@ def scenario_from_json(doc: dict) -> dict:
     """
     try:
         kind = doc["kind"]
-        position = int(doc["position"])
-        size = int(doc["size"])
-        n = int(doc["n"])
+        position = _json_int(doc["position"], "position")
+        size = _json_int(doc["size"], "size")
+        n = _json_int(doc["n"], "n")
     except (KeyError, TypeError, ValueError) as exc:
         raise RewardDomainError(f"malformed attack scenario: {exc}") from exc
     if kind not in ("sybil", "collusion"):
@@ -159,8 +161,7 @@ def scenario_from_json(doc: dict) -> dict:
 
 def run_scenario(spec: MechanismSpec, scenario: dict) -> AttackOutcome:
     """Dispatch a validated scenario to the matching gain computation."""
-    kind = scenario["kind"]
-    if kind == "sybil":
+    if scenario["kind"] == "sybil":
         return sybil_gain(spec, scenario["position"], scenario["n"],
                           scenario["size"])
     return collusion_gain(spec, scenario["position"], scenario["n"],

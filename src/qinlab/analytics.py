@@ -13,7 +13,8 @@ length n, which is itself an assertable invariant. Derived quantities:
   number of fake identities is one of its two integer neighbours,
   floored to 1.
 * ``lambda_star``   -- smallest integer lam with f <= 1; splits of that size
-  or larger no longer pay, merges of more than that size start to pay.
+  or larger no longer pay, merges of more than that size start to pay (a
+  merge of lam+1 identities is a split into lam read backwards: ratio 1/f).
 * ``n_prime``       -- stationary point of the total payout in the path
   length n. Algebraically lambda_prime = n_prime - 1: the total for length n
   is f(n-1)/(1+alpha) times the budget.
@@ -34,6 +35,8 @@ from . import mechanisms
 from .mechanisms import RewardDomainError, check_alpha, is_singular
 
 DEFAULT_SEARCH_CAP = 10_000
+_SYBIL_ARGMAX_CAP = 1000
+_LENGTH_ARGMAX_CAP = 200
 
 # Grid used by documentation, sweeps, and the optimality checks.
 ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -118,23 +121,22 @@ def lambda_star(alpha: float, search_cap: int = DEFAULT_SEARCH_CAP) -> int:
         f"f at cap = {sybil_factor(alpha, search_cap)}")
 
 
-def optimal_sybil_count(alpha: float, search_cap: int = 1000) -> int:
+def optimal_sybil_count(alpha: float) -> int:
     """Brute-force integer argmax of f(alpha, .); the scan is the oracle the
     rounded stationary point is judged against."""
     check_alpha(alpha)
-    return max(range(1, search_cap + 1),
+    return max(range(1, _SYBIL_ARGMAX_CAP + 1),
                key=lambda lam: sybil_factor(alpha, lam))
 
 
-def optimal_path_length(alpha: float, search_cap: int = 200,
-                        budget: float = 1.0) -> int:
+def optimal_path_length(alpha: float) -> int:
     """Brute-force integer argmax of the total payout over path lengths.
 
     Works at the golden point too, where the total is n * alpha^n * budget.
     """
     check_alpha(alpha)
-    spec = mechanisms.gcrm(alpha, budget)
-    return max(range(1, search_cap + 1),
+    spec = mechanisms.gcrm(alpha)
+    return max(range(1, _LENGTH_ARGMAX_CAP + 1),
                key=lambda n: mechanisms.rewards_for_length(n, spec).total)
 
 
@@ -151,22 +153,20 @@ class SybilProfile:
     peak_ratio: float
 
 
-def sybil_profile(alpha: float, lambda_max: int = 0,
-                  search_cap: int = DEFAULT_SEARCH_CAP) -> SybilProfile:
+def sybil_profile(alpha: float, lambda_max: int = 0) -> SybilProfile:
     """f table covering at least 1..lambda_star (or lambda_max if larger).
 
     The table holds the integer argmax of f, since f(lambda_star) <= 1 < f(1),
     so the peak ratio is the table's maximum.
     """
-    star = lambda_star(alpha, search_cap)
+    star = lambda_star(alpha)
     top = max(star, lambda_max)
     f_values = {lam: sybil_factor(alpha, lam) for lam in range(1, top + 1)}
     lp = lambda_prime(alpha) if not is_singular(alpha) else float("nan")
     return SybilProfile(alpha, f_values, lp, star, max(f_values.values()))
 
 
-def rounding_mismatches(alphas, sybil_cap: int = 1000,
-                        length_cap: int = 200) -> dict[str, list[dict]]:
+def rounding_mismatches(alphas) -> dict[str, list[dict]]:
     """Grid points where nearest-integer rounding misses the true argmax.
 
     Returns {"sybil": [...], "path_length": [...]}; each entry carries alpha,
@@ -178,12 +178,12 @@ def rounding_mismatches(alphas, sybil_cap: int = 1000,
         if is_singular(alpha):
             continue
         rounded = nearest_positive_int(lambda_prime(alpha))
-        argmax = optimal_sybil_count(alpha, sybil_cap)
+        argmax = optimal_sybil_count(alpha)
         if rounded != argmax:
             out["sybil"].append(
                 {"alpha": alpha, "rounded": rounded, "argmax": argmax})
         rounded_n = nearest_positive_int(n_prime(alpha))
-        argmax_n = optimal_path_length(alpha, length_cap)
+        argmax_n = optimal_path_length(alpha)
         if rounded_n != argmax_n:
             out["path_length"].append(
                 {"alpha": alpha, "rounded": rounded_n, "argmax": argmax_n})

@@ -2,7 +2,7 @@
 
 Schedule-level checks scan bounded (position, length, attack-size) domains:
 strictly positive pay (PO), budget balance (BB), the split ratio, and the
-split/merge inequalities at every size. Tree-level checks enumerate
+split and merge inequalities (one scan: a merge is a split run backwards). Tree-level checks enumerate
 deviations exhaustively on small trees: truth-telling as a dominant strategy
 (IC) and coalition stability (core). A certificate check confirms that no
 positive schedule survives the split and merge inequalities together.
@@ -173,37 +173,50 @@ def check_split(spec: MechanismSpec, rho_expected: Optional[float] = None,
                  "increasing_toward_root": theoretical > 1.0})
 
 
+def _attack_scan(gain: Callable[..., adversary.AttackOutcome],
+                 spec: MechanismSpec, size_max: int, n_max: int,
+                 witness: Callable[[int, adversary.AttackOutcome], dict]):
+    """Every cell (size, n, i) of one attack through ``gain``, sizes
+    outermost: the per-size verdicts and the sorted break-even sizes, both
+    keyed by ``AttackOutcome.size``; the smallest profitable size per
+    ``"i,n"`` cell; and the first profitable cell's witness,
+    ``witness(n, outcome)`` plus its payouts, or None when no cell pays."""
+    if n_max < 1:
+        raise AuditError(f"n_max must be >= 1, got {n_max}")
+    per_size: dict[int, str] = {}
+    smallest_violating: dict[str, int] = {}
+    equality_sizes: set[int] = set()
+    first = None
+    for size in range(1, size_max + 1):
+        size_ok = True
+        for n in range(1, n_max + 1):
+            for i in range(1, n + 1):
+                out = gain(spec, i, n, size)
+                if out.break_even:
+                    equality_sizes.add(out.size)
+                elif out.profitable:
+                    size_ok = False
+                    smallest_violating.setdefault(f"{i},{n}", out.size)
+                    if first is None:
+                        first = {**witness(n, out),
+                                 "reward_before": out.reward_before,
+                                 "reward_after": out.reward_after}
+        per_size[out.size] = "pass" if size_ok else "fail"
+    return per_size, sorted(equality_sizes), smallest_violating, first
+
+
 def check_sp(spec: MechanismSpec, lambda_max: int = DEFAULT_SIZE_MAX,
              n_max: int = DEFAULT_ATTACK_N_MAX) -> PropertyReport:
     """Splitting any position into any number of extra identities (up to
     lambda_max) never pays. Per-size verdicts expose the threshold at which
     an almost-proof mechanism starts holding."""
-    per_lambda: dict[int, str] = {}
-    smallest_violating: dict[str, int] = {}
-    equality_sizes: set[int] = set()
-    first_witness = None
-    for lam in range(1, lambda_max + 1):
-        lam_ok = True
-        for n in range(1, n_max + 1):
-            for i in range(1, n + 1):
-                out = adversary.sybil_gain(spec, i, n, lam)
-                if out.break_even:
-                    equality_sizes.add(lam)
-                elif out.profitable:
-                    lam_ok = False
-                    smallest_violating.setdefault(f"{i},{n}", lam)
-                    if first_witness is None:
-                        first_witness = {
-                            "i": i, "n": n, "lambda": lam,
-                            "reward_before": out.reward_before,
-                            "reward_after": out.reward_after}
-        per_lambda[lam] = "pass" if lam_ok else "fail"
-    verdict = "pass" if first_witness is None else "fail"
+    per_lambda, equality_at, smallest_violating, witness = _attack_scan(
+        adversary.sybil_gain, spec, lambda_max, n_max,
+        lambda n, out: {"i": out.position, "n": n, "lambda": out.size})
     return PropertyReport(
-        "sp", verdict, witness=first_witness,
+        "sp", "pass" if witness is None else "fail", witness=witness,
         domain={"n_max": n_max, "lambda_max": lambda_max},
-        details={"per_lambda": per_lambda,
-                 "equality_at": sorted(equality_sizes),
+        details={"per_lambda": per_lambda, "equality_at": equality_at,
                  "smallest_violating_lambda": smallest_violating})
 
 
@@ -211,31 +224,14 @@ def check_cp(spec: MechanismSpec, gamma_max: int = DEFAULT_SIZE_MAX,
              n_max: int = DEFAULT_ATTACK_N_MAX) -> PropertyReport:
     """Merging consecutive identities (merge sizes up to gamma_max+1) never
     pays. Per-size verdicts expose the approximate-proof threshold."""
-    per_size: dict[int, str] = {}
-    equality_sizes: set[int] = set()
-    first_witness = None
-    for gamma in range(1, gamma_max + 1):
-        size_ok = True
-        for n in range(1, n_max + 1):
-            for i in range(1, n + 1):
-                out = adversary.collusion_gain(spec, i, n, gamma)
-                if out.break_even:
-                    equality_sizes.add(gamma + 1)
-                elif out.profitable:
-                    size_ok = False
-                    if first_witness is None:
-                        first_witness = {
-                            "i": i, "n_merged": n, "gamma": gamma,
-                            "merge_size": gamma + 1,
-                            "reward_before": out.reward_before,
-                            "reward_after": out.reward_after}
-        per_size[gamma + 1] = "pass" if size_ok else "fail"
-    verdict = "pass" if first_witness is None else "fail"
+    per_size, equality_at, _, witness = _attack_scan(
+        adversary.collusion_gain, spec, gamma_max, n_max,
+        lambda n, out: {"i": out.position, "n_merged": n,
+                        "gamma": out.size - 1, "merge_size": out.size})
     return PropertyReport(
-        "cp", verdict, witness=first_witness,
+        "cp", "pass" if witness is None else "fail", witness=witness,
         domain={"n_max": n_max, "gamma_max": gamma_max},
-        details={"per_merge_size": per_size,
-                 "equality_at": sorted(equality_sizes)})
+        details={"per_merge_size": per_size, "equality_at": equality_at})
 
 
 def check_monotone_solver_reward(spec: MechanismSpec,
@@ -281,11 +277,10 @@ def reward_table(spec: MechanismSpec, n_max: int) -> dict[tuple[int, int], float
             for n in range(1, n_max + 1) for i in range(1, n + 1)}
 
 
-def random_positive_table(rng: np.random.Generator, n_max: int,
-                          low: float = 0.05,
-                          high: float = 1.0) -> dict[tuple[int, int], float]:
-    """Uniform positive entries; PO holds by construction."""
-    return {(i, n): float(rng.uniform(low, high))
+def random_positive_table(rng: np.random.Generator,
+                          n_max: int) -> dict[tuple[int, int], float]:
+    """Uniform entries in [0.05, 1); PO holds by construction."""
+    return {(i, n): float(rng.uniform(0.05, 1.0))
             for n in range(1, n_max + 1) for i in range(1, n + 1)}
 
 

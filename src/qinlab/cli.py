@@ -202,7 +202,7 @@ def cmd_sweep(args) -> int:
         if args.alpha_values:
             overrides["alpha_values"] = args.alpha_values
         for key in ("n_base", "n_max", "lambda_max", "gamma_max",
-                    "budget", "rho", "seed"):
+                    "budget", "rho"):
             value = getattr(args, key)
             if value is not None:
                 overrides[key] = value
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma-max", type=int)
     p_sweep.add_argument("--budget", type=float)
     p_sweep.add_argument("--rho", type=float)
-    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--out", type=Path)
     p_sweep.set_defaults(func=cmd_sweep)
 

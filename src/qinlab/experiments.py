@@ -2,9 +2,9 @@
 
 Each sweep is a pure function of its configuration; rows are sorted
 deterministically and floats rendered with shortest round-trip repr, so the
-same config and seed produce byte-identical files. Every run writes a
-``<output>.manifest.json`` recording the config, the seed, and the package
-version next to the CSV.
+same config produces byte-identical files. Every run writes a
+``<output>.manifest.json`` recording the config and the package version
+next to the CSV.
 
 Sweeps (baseline path length and attacked position are explicit, recorded
 parameters -- the ratio is length-dependent for the tree-dependent family):
@@ -57,7 +57,6 @@ class ExperimentConfig:
     gamma_max: int = 10
     budget: float = 1.0
     rho: float = 0.6      # budget_ratio runs at a single rho
-    seed: int = 0
     output_path: str = ""
 
     def __post_init__(self):
@@ -106,8 +105,7 @@ def config_from_mapping(raw) -> ExperimentConfig:
                 value = tuple(float(v) for v in value.split(",") if v.strip())
             else:
                 value = tuple(float(v) for v in value)
-        elif key in ("n_base", "position", "n_max", "lambda_max",
-                     "gamma_max", "seed"):
+        elif key in ("n_base", "position", "n_max", "lambda_max", "gamma_max"):
             value = int(value)
         elif key in ("budget", "rho"):
             value = float(value)
@@ -119,34 +117,38 @@ def config_from_mapping(raw) -> ExperimentConfig:
 # Row generators (pure)
 # ---------------------------------------------------------------------------
 
-def run_sybil_ratio(config: ExperimentConfig) -> list[tuple]:
-    """(mechanism, rho, lambda, ratio): what splitting into ``lambda`` extra
-    identities multiplies the attacker's payout by."""
+def _attack_ratios(gain, spec, config: ExperimentConfig, size_max: int):
+    """(``AttackOutcome.size``, ratio) for sizes 1..size_max of ``gain``
+    (a split or a merge) at the configured position on the baseline path."""
+    for size in range(1, size_max + 1):
+        out = gain(spec, config.position, config.n_base, size)
+        yield out.size, out.ratio
+
+
+def _mechanism_ratios(config: ExperimentConfig, gain, names: tuple[str, ...],
+                      size_max: int) -> list[tuple]:
     rows = []
     for rho in config.rho_values:
         specs = mechanisms.specs_for_rho(rho, config.budget)
-        for name in ("geom", "gcrm"):
-            for lam in range(1, config.lambda_max + 1):
-                out = adversary.sybil_gain(specs[name], config.position,
-                                           config.n_base, lam)
-                rows.append((name, rho, lam, out.ratio))
+        for name in names:
+            rows += [(name, rho, size, ratio) for size, ratio in
+                     _attack_ratios(gain, specs[name], config, size_max)]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows
+
+
+def run_sybil_ratio(config: ExperimentConfig) -> list[tuple]:
+    """(mechanism, rho, lambda, ratio): what splitting into ``lambda`` extra
+    identities multiplies the attacker's payout by."""
+    return _mechanism_ratios(config, adversary.sybil_gain, ("geom", "gcrm"),
+                             config.lambda_max)
 
 
 def run_collusion_ratio(config: ExperimentConfig) -> list[tuple]:
     """(mechanism, rho, merge_size, ratio): what merging ``merge_size``
     consecutive identities multiplies their combined payout by."""
-    rows = []
-    for rho in config.rho_values:
-        specs = mechanisms.specs_for_rho(rho, config.budget)
-        for name in ("dgm", "gcrm"):
-            for gamma in range(1, config.gamma_max + 1):
-                out = adversary.collusion_gain(specs[name], config.position,
-                                               config.n_base, gamma)
-                rows.append((name, rho, gamma + 1, out.ratio))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+    return _mechanism_ratios(config, adversary.collusion_gain, ("dgm", "gcrm"),
+                             config.gamma_max)
 
 
 def run_budget_ratio(config: ExperimentConfig) -> list[tuple]:
@@ -172,16 +174,10 @@ def run_gcrm_alpha_sweeps(config: ExperimentConfig, kind: str) -> list[tuple]:
     for alpha in config.alpha_values:
         spec = mechanisms.gcrm(alpha, config.budget)
         star = analytics.lambda_star(alpha)
-        if kind == "sybil":
-            for lam in range(1, star + 1):
-                out = adversary.sybil_gain(spec, config.position,
-                                           config.n_base, lam)
-                rows.append((alpha, lam, out.ratio, star))
-        else:
-            for gamma in range(1, config.gamma_max + 1):
-                out = adversary.collusion_gain(spec, config.position,
-                                               config.n_base, gamma)
-                rows.append((alpha, gamma + 1, out.ratio, star))
+        gain, top = ((adversary.sybil_gain, star) if kind == "sybil"
+                     else (adversary.collusion_gain, config.gamma_max))
+        rows += [(alpha, size, ratio, star) for size, ratio in
+                 _attack_ratios(gain, spec, config, top)]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
@@ -220,7 +216,6 @@ def write_manifest(config: ExperimentConfig, path: Path, row_count: int) -> None
     manifest = {
         "config": dataclasses.asdict(config),
         "experiment": config.experiment,
-        "seed": config.seed,
         "version": __version__,
         "output": path.name,
         "rows": row_count,

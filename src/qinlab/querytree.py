@@ -30,6 +30,9 @@ ROOT_ID = 0  # the owner's reserved identifier in generated trees
 # Child counts are Poisson(branching_mean) truncated at this cap.
 MAX_CHILDREN_CAP = 8
 
+# max_depth, branching_mean and solver_probability of generate_trees' draws
+_BATCH_SHAPE = (4, 1.3, 0.5)
+
 
 class InvalidTreeError(ValueError):
     """Raised when a tree or report profile violates its invariants."""
@@ -242,13 +245,6 @@ def allocate(tree_reported: QueryTree, rng_seed: int) -> Optional[AllocationPath
     return AllocationPath(_path_to(tree_reported, tied[pick]))
 
 
-def tied_shortest_paths(tree_reported: QueryTree) -> list[AllocationPath]:
-    """All minimum-depth solver paths; the tie-break picks uniformly among
-    these. Empty list when no solver is reachable."""
-    return [AllocationPath(_path_to(tree_reported, s))
-            for s in tied_solvers(tree_reported)[1]]
-
-
 def _path_to(tree: QueryTree, node: int) -> tuple[int, ...]:
     path = [node]
     while node != tree.root:
@@ -259,12 +255,11 @@ def _path_to(tree: QueryTree, node: int) -> tuple[int, ...]:
 
 def generate_random_tree(max_depth: int, branching_mean: float,
                          solver_probability: float, seed: int,
-                         max_children: int = MAX_CHILDREN_CAP,
                          exact_branching: bool = False) -> QueryTree:
     """Random rooted tree fixture with dense BFS-ordered ids (root = 0).
 
     Child counts are drawn per node from Poisson(branching_mean) truncated at
-    ``max_children``; nodes at ``max_depth`` get none. With
+    ``MAX_CHILDREN_CAP``; nodes at ``max_depth`` get none. With
     ``exact_branching`` every internal node gets exactly
     ``round(branching_mean)`` children (forced shapes for tests). Each
     non-root node answers independently with ``solver_probability``. The same
@@ -289,7 +284,7 @@ def generate_random_tree(max_depth: int, branching_mean: float,
         if exact_branching:
             count = int(round(branching_mean))
         else:
-            count = min(int(rng.poisson(branching_mean)), max_children)
+            count = min(int(rng.poisson(branching_mean)), MAX_CHILDREN_CAP)
         kids = tuple(range(next_id, next_id + count))
         next_id += count
         children[node] = kids
@@ -299,13 +294,12 @@ def generate_random_tree(max_depth: int, branching_mean: float,
     return QueryTree(ROOT_ID, children, resp)
 
 
-def generate_trees(count: int, seed: int, max_nodes: int, min_nodes: int = 2,
-                   max_depth: int = 4, branching_mean: float = 1.3,
-                   solver_probability: float = 0.5) -> list[QueryTree]:
+def generate_trees(count: int, seed: int, max_nodes: int,
+                   min_nodes: int = 2) -> list[QueryTree]:
     """Deterministic batch of random trees with a node-count window.
 
     Oversized or degenerate draws are re-drawn from a derived sub-seed, so
-    the batch depends only on (count, seed, parameters).
+    the batch depends only on (count, seed, max_nodes, min_nodes).
     """
     if max_nodes < min_nodes:
         raise ValueError(f"max_nodes {max_nodes} < min_nodes {min_nodes}")
@@ -314,8 +308,7 @@ def generate_trees(count: int, seed: int, max_nodes: int, min_nodes: int = 2,
         attempt = 0
         while True:
             sub_seed = seed * 1_000_003 + k * 1009 + attempt
-            tree = generate_random_tree(max_depth, branching_mean,
-                                        solver_probability, sub_seed)
+            tree = generate_random_tree(*_BATCH_SHAPE, sub_seed)
             if min_nodes <= len(tree.nodes) <= max_nodes:
                 trees.append(tree)
                 break
@@ -347,11 +340,27 @@ def tree_to_json(tree: QueryTree,
     return doc
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON id, position, size or length: never a bool, float or string."""
+    if type(value) is not int:
+        raise InvalidTreeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_flag(value, what: str) -> bool:
+    """A JSON answer flag: true, false, 0 or 1."""
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise InvalidTreeError(f"{what} must be true, false, 0 or 1, got {value!r}")
+
+
 def tree_from_json(doc: Mapping) -> QueryTree:
     try:
-        root = int(doc["root"])
-        edges = [(int(p), int(c)) for p, c in doc["edges"]]
-        resp = {int(k): bool(v) for k, v in doc.get("resp", {}).items()}
+        root = _json_int(doc["root"], "root")
+        edges = [(_json_int(p, "edge parent"), _json_int(c, "edge child"))
+                 for p, c in doc["edges"]]
+        resp = {int(k): _json_flag(v, f"resp of {k}")
+                for k, v in doc.get("resp", {}).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidTreeError(f"malformed tree document: {exc}") from exc
     nodes = {root} | {n for e in edges for n in e}
@@ -374,7 +383,8 @@ def profile_from_json(doc: Mapping) -> Optional[ReportProfile]:
     try:
         for key, rep in raw.items():
             reports[int(key)] = AgentReport(
-                bool(rep["resp"]), tuple(int(c) for c in rep["children"]))
+                _json_flag(rep["resp"], f"resp of {key}"),
+                tuple(_json_int(c, "child id") for c in rep["children"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidTreeError(f"malformed reports: {exc}") from exc
     return ReportProfile(reports)

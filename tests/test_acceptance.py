@@ -290,7 +290,7 @@ def test_13_byte_identical_reruns(tmp_path):
         for run_dir in ("a", "b"):
             out = tmp_path / run_dir / f"{experiment}.csv"
             config = experiments.ExperimentConfig(
-                experiment, seed=7, lambda_max=8, n_max=12,
+                experiment, lambda_max=8, n_max=12,
                 output_path=str(out))
             path = experiments.run(config)
             manifest = path.with_name(path.name + ".manifest.json")

@@ -117,14 +117,12 @@ class TestCollusionGain:
     def test_bookkeeping_inverse_of_split(self):
         # the merge comparison at (i, n, gamma) uses the same sum as the
         # split comparison at (i, n, lam=gamma), just on the other side
-        spec = gcrm(0.61)
-        for gamma in (1, 2, 5):
-            split = sybil_gain(spec, 2, 3, gamma)
-            merge = collusion_gain(spec, 2, 3, gamma)
-            assert merge.reward_before == pytest.approx(split.reward_after,
-                                                        rel=1e-15)
-            assert merge.reward_after == pytest.approx(split.reward_before,
-                                                       rel=1e-15)
+        for spec in (dgm(0.3), delta_geom(0.61), gcrm(0.61)):
+            for gamma in (1, 2, 5):
+                split = sybil_gain(spec, 2, 3, gamma)
+                merge = collusion_gain(spec, 2, 3, gamma)
+                assert merge.reward_before == split.reward_after
+                assert merge.reward_after == split.reward_before
 
     def test_size_field_is_merge_size(self):
         out = collusion_gain(gcrm(0.5), 1, 2, 3)
@@ -215,7 +213,9 @@ class TestScenarios:
         value = data.draw(st.one_of(
             st.none(), st.just(math.nan), st.lists(st.integers()),
             st.dictionaries(st.text(), st.integers()),
-            st.text().filter(_not_an_int)))
+            st.text().filter(_not_an_int), st.booleans(), st.just(2.7),
+            st.just(math.inf), st.just(-math.inf),
+            st.floats(allow_nan=False), st.integers().map(str)))
         with pytest.raises(RewardDomainError):
             scenario_from_json(json.loads(json.dumps({**doc, field: value})))
 

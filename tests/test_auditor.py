@@ -176,6 +176,12 @@ class TestCp:
                 for n in range(1, 7) for i in range(1, n + 1))
             assert (verdict == "fail") == hits
 
+    def test_empty_length_domain_rejected(self):
+        # no cell to scan means no verdict; sp is held to the same rule
+        for check in (check_sp, check_cp):
+            with pytest.raises(AuditError, match="n_max must be >= 1"):
+                check(GCRM05, 5, n_max=0)
+
 
 class TestMonotoneSolverReward:
     def test_sp_schedule_decreasing(self):

@@ -120,6 +120,15 @@ class TestAttack:
                      "--kind", "sybil"])
         assert code == 2
 
+    def test_non_integer_scenario_size_exit_2(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(
+            '{"kind": "sybil", "position": 1, "size": 2.7, "n": 3}')
+        code = main(["attack", "--mechanism", "gcrm", "--rho", "0.6",
+                     "--scenario", str(scenario)])
+        assert code == 2
+        assert "size must be an integer, got 2.7" in capsys.readouterr().err
+
 
 class TestAudit:
     def test_split_proof_schedule_passes(self, capsys):
@@ -289,3 +298,16 @@ class TestTreeDocumentErrors:
         assert "unknown nodes [7]" in capsys.readouterr().err
         assert main(["audit", "--mechanism", "gcrm", "--alpha", "0.5",
                      "--property", "ic", "--tree", str(path)]) == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"root": 0, "edges": [[0, 1.9]], "resp": {"1": 1}},
+         "edge child must be an integer, got 1.9"),
+        ({"root": 0, "edges": [[0, 1]], "resp": {"1": "0"}},
+         "resp of 1 must be true, false, 0 or 1, got '0'"),
+    ])
+    def test_non_integer_ids_and_flags_exit_2(self, doc, message, tmp_path,
+                                               capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert main(["allocate", "--tree", str(path)]) == 2
+        assert message in capsys.readouterr().err

@@ -167,14 +167,14 @@ class TestRunnerAndConfig:
         assert len(lines) == 1 + 3 * 5
         manifest = json.loads(
             (tmp_path / "b.csv.manifest.json").read_text())
-        assert manifest["seed"] == 0
+        assert "seed" not in manifest
         assert manifest["rows"] == 15
         assert manifest["config"]["experiment"] == "budget_ratio"
 
     def test_byte_identical_across_runs(self, tmp_path):
         blobs = []
         for name in ("one", "two"):
-            config = ExperimentConfig("sybil_ratio", lambda_max=6, seed=9,
+            config = ExperimentConfig("sybil_ratio", lambda_max=6,
                                       output_path=str(tmp_path / f"{name}.csv"))
             path = run(config)
             blobs.append(path.read_bytes())
@@ -207,7 +207,6 @@ class TestRunnerAndConfig:
             "experiment = sybil_ratio\n"
             "rho_values = 0.2, 0.6\n"
             "lambda_max = 4\n"
-            "seed = 12\n"
             "budget = 2.0\n"
         )
         config_path = tmp_path / "sweep.cfg"
@@ -216,7 +215,6 @@ class TestRunnerAndConfig:
         assert config.experiment == "sybil_ratio"
         assert config.rho_values == (0.2, 0.6)
         assert config.lambda_max == 4
-        assert config.seed == 12
         assert config.budget == 2.0
 
     def test_invalid_configs_rejected(self):

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import json
+import math
 import random
 import time
 
@@ -21,7 +22,6 @@ from qinlab.querytree import (
     generate_random_tree,
     generate_trees,
     profile_from_json,
-    tied_shortest_paths,
     tied_solvers,
     tree_from_json,
     tree_to_json,
@@ -46,6 +46,18 @@ def subtree(tree, node):
         out.add(cur)
         stack.extend(tree.children[cur])
     return out
+
+
+def tied_shortest_paths(tree):
+    """All minimum-depth solver paths; allocation's tie-break picks
+    uniformly among these."""
+    paths = []
+    for solver in tied_solvers(tree)[1]:
+        path = [solver]
+        while path[-1] != tree.root:
+            path.append(tree.parent[path[-1]])
+        paths.append(AllocationPath(tuple(reversed(path))))
+    return paths
 
 
 def two_branch():
@@ -323,6 +335,30 @@ class TestJsonRoundTrip:
         doc["resp"]["9"] = 1
         with pytest.raises(InvalidTreeError, match="unknown nodes \\[9\\]"):
             tree_from_json(doc)
+
+    @pytest.mark.parametrize("bad", [
+        {"root": True}, {"root": 0.0}, {"root": "0"},
+        {"edges": [[0, 1.9], [0, 3], [1, 2], [3, 4], [4, 5]]},
+        {"edges": [[0, 1], [0, 3], [1, 2], [3, 4], [4, math.inf]]},
+        {"edges": [[0, 1], [0, 3], [1, 2], [3, 4], ["4", 5]]},
+        {"resp": {"2": "0"}}, {"resp": {"2": 2}}, {"resp": {"2": 1.0}},
+        {"resp": {"2": None}},
+    ])
+    def test_non_integer_ids_and_flags_rejected(self, bad):
+        # json.loads hands these over as they are; none may be truncated
+        # to an id or read as a truthy flag
+        with pytest.raises(InvalidTreeError, match="malformed tree"):
+            tree_from_json({**tree_to_json(two_branch()), **bad})
+
+    @pytest.mark.parametrize("report", [
+        {"resp": "false", "children": []}, {"resp": 0.0, "children": []},
+        {"resp": 0, "children": [2.5]}, {"resp": 0, "children": [True]},
+        {"resp": 0, "children": ["2"]},
+    ])
+    def test_non_integer_report_fields_rejected(self, report):
+        doc = {**tree_to_json(two_branch()), "reports": {"1": report}}
+        with pytest.raises(InvalidTreeError, match="malformed reports"):
+            profile_from_json(doc)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
