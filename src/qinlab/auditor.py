@@ -23,7 +23,8 @@ tied shortest paths with allocation's own walk, ``querytree.tied_solvers``.
 Tie-breaks are handled in expectation over those paths -- no sampling, so
 IC/core verdicts are deterministic. IC and core search for the first
 blocking deviation the same way: IC over the on-path agents alone, core
-over every coalition, smaller ones first.
+over every coalition, smaller ones first, each over the profiles in which
+every member misreports.
 
 Blocking, for the core check, means a joint deviation that every coalition
 member strictly prefers: a deviation some member loses by is not a coalition
@@ -53,7 +54,7 @@ DEFAULT_ATTACK_N_MAX = 20
 DEFAULT_SIZE_MAX = 20
 DEFAULT_TABLE_N_MAX = 6
 DEFAULT_TREE_CAP = 10
-DEFAULT_COALITION_CAP = 8
+DEFAULT_COALITION_CAP = 10
 DEFAULT_IC_TREES = 200
 DEFAULT_CORE_TREES = 100
 
@@ -348,17 +349,17 @@ class _DeviationEngine:
     """Exhaustive deviation evaluation on one (tree, spec) pair.
 
     Expected rewards are exact: tied shortest paths are enumerated and each
-    carries equal probability. Reported profiles are memoized by their
-    non-truthful part, which collapses the overlap between coalitions.
+    carries equal probability. The search combines only each agent's
+    ``misreports``, so no two profiles it evaluates are alike and nothing
+    but the per-position rewards is memoized.
     """
 
     def __init__(self, tree: QueryTree, spec: MechanismSpec):
         self.tree = tree
         self.spec = spec
-        self.truth = querytree.ReportProfile.truthful(tree).reports
-        self.options = {a: _options(rep) for a, rep in self.truth.items()}
+        truth = querytree.ReportProfile.truthful(tree).reports
+        self.misreports = {a: _misreports(rep) for a, rep in truth.items()}
         self.reward = functools.cache(lambda i, n: position_reward(i, n, spec))
-        self._memo: dict[frozenset, dict[int, float]] = {}
         self.baseline = self.expected({})
         self.coalitions = self.deviations = 0   # evaluated by first_block
 
@@ -366,10 +367,6 @@ class _DeviationEngine:
                  ) -> dict[int, float]:
         """Expected reward per agent under the given deviations (everyone
         else truthful); agents off every tied path are absent (reward 0)."""
-        key = frozenset(overrides.items())
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         depth, tied = querytree.tied_solvers(self.tree, overrides)
         result: dict[int, float] = {}
         if tied:
@@ -382,24 +379,27 @@ class _DeviationEngine:
                         share * self.reward(pos, depth)
                     node = parent[node]
                     pos -= 1
-        self._memo[key] = result
         return result
 
     def first_block(self, coalitions) -> Optional[tuple]:
         """First ``(coalition, deviation, payoffs)`` every coalition member
-        strictly prefers to the truth: coalitions in the given order, member
-        reports in ``options`` order, members reporting truthfully left out
-        of the deviation. None when nothing blocks."""
+        strictly prefers to the truth: coalitions in the given order, each
+        over its fully-deviating profiles (every member misreports) in
+        ``misreports`` order. None when nothing blocks.
+
+        When every proper subset of a coalition comes before it (singletons;
+        ``check_core``'s smaller-first order), this is the first block of
+        the search over every profile, truthful members included: if such a
+        profile blocked coalition C, its deviators D, a proper subset of C,
+        would all gain strictly under the same overrides, and D came
+        first."""
         tol = EQ_TOL * self.spec.budget
-        baseline, truth = self.baseline, self.truth
+        baseline = self.baseline
         for coalition in coalitions:
             self.coalitions += 1
             for profile in itertools.product(
-                    *(self.options[a] for a in coalition)):
-                overrides = {a: rep for a, rep in zip(coalition, profile)
-                             if rep != truth[a]}
-                if not overrides:
-                    continue
+                    *(self.misreports[a] for a in coalition)):
+                overrides = dict(zip(coalition, profile))
                 self.deviations += 1
                 payoffs = self.expected(overrides)
                 if all(payoffs.get(a, 0.0) > baseline.get(a, 0.0) + tol
@@ -408,13 +408,15 @@ class _DeviationEngine:
         return None
 
 
-def _options(truth: AgentReport) -> list[AgentReport]:
-    """All reports an agent can make, truthful first. An answer can be
-    withheld but not invented; children can be pruned but not added."""
+def _misreports(truth: AgentReport) -> list[AgentReport]:
+    """Every report an agent can make other than the truth, answer kept
+    before answer withheld, then more children before fewer. An answer can
+    be withheld but not invented; children can be pruned but not added."""
     answers = (True, False) if truth.resp else (False,)
     subsets = [combo for r in range(len(truth.children), -1, -1)
                for combo in itertools.combinations(truth.children, r)]
-    return [AgentReport(resp, kids) for resp in answers for kids in subsets]
+    return [AgentReport(resp, kids) for resp in answers for kids in subsets
+            if (resp, kids) != truth]
 
 
 def _report_json(report: AgentReport) -> dict:
@@ -461,10 +463,14 @@ def check_core(tree: QueryTree, spec: MechanismSpec,
     """No coalition has a joint deviation every member strictly prefers.
 
     Candidate coalitions are all non-empty agent subsets, smaller first; for
-    each, every combination of member reports (others truthful) is evaluated
-    in exact expectation. A blocking witness names the coalition, the
-    deviation, and both payoff vectors. Singleton coalitions reduce to the
-    IC check.
+    each, every combination of member misreports (others truthful) is
+    evaluated in exact expectation. Profiles in which some members report
+    truthfully are not evaluated: such a profile blocks only if its
+    deviators, a smaller coalition checked earlier, already block with it,
+    so the verdict, the first witness and ``coalitions_checked`` are those
+    of the search over every profile. A blocking witness names the
+    coalition, the deviation, and both payoff vectors. Singleton coalitions
+    reduce to the IC check.
     """
     if len(tree.nodes) > coalition_cap:
         raise AuditError(f"tree has {len(tree.nodes)} nodes; coalition "

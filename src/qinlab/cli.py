@@ -57,8 +57,12 @@ def build_spec(args) -> mechanisms.MechanismSpec:
         raise UsageError("tdgm needs --alpha")
     beta = args.beta
     if args.beta_table is not None:
-        beta = {int(n): float(v)
-                for n, v in json.loads(args.beta_table.read_text()).items()}
+        table = json.loads(args.beta_table.read_text())
+        if not isinstance(table, dict):
+            raise UsageError("--beta-table must hold a JSON object "
+                             "{length: payment}")
+        beta = {int(n): mechanisms._json_number(v, f"beta({n})")
+                for n, v in table.items()}
     if beta is None:
         raise UsageError("tdgm needs --beta or --beta-table")
     return mechanisms.MechanismSpec(mechanisms.TDGM, args.alpha,

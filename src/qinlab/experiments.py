@@ -94,6 +94,20 @@ def parse_config_file(path) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
+def _config_number(value, kind, key: str):
+    """An ``int`` or ``float`` config value: a number of that kind (an int
+    serves as a float; a bool never serves) or config-file text that
+    ``kind`` parses."""
+    if type(value) is kind or (kind is float and type(value) is int) \
+            or isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ValueError(f"{key} must be {what}, got {value!r}")
+
+
 def config_from_mapping(raw) -> ExperimentConfig:
     kwargs = {}
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -102,13 +116,13 @@ def config_from_mapping(raw) -> ExperimentConfig:
             raise ValueError(f"unknown config key {key!r}")
         if key in ("rho_values", "alpha_values"):
             if isinstance(value, str):
-                value = tuple(float(v) for v in value.split(",") if v.strip())
-            else:
-                value = tuple(float(v) for v in value)
+                value = [v for v in value.split(",") if v.strip()]
+            value = tuple(_config_number(v, float, f"{key} entry")
+                          for v in value)
         elif key in ("n_base", "position", "n_max", "lambda_max", "gamma_max"):
-            value = int(value)
+            value = _config_number(value, int, key)
         elif key in ("budget", "rho"):
-            value = float(value)
+            value = _config_number(value, float, key)
         kwargs[key] = value
     return ExperimentConfig(**kwargs)
 

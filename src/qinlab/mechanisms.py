@@ -63,6 +63,14 @@ class RewardDomainError(ValueError):
     """Raised for positions, lengths, or parameters outside the domain."""
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON parameter or payment: an integer or a float, never a bool or
+    a string."""
+    if type(value) not in (int, float):
+        raise RewardDomainError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_alpha(alpha: float) -> None:
     """Reject alpha outside the open interval (0, 1), NaN included."""
     if not 0.0 < alpha < 1.0:
@@ -150,9 +158,10 @@ class MechanismSpec:
     def from_json(cls, doc: Mapping) -> "MechanismSpec":
         beta = doc.get("beta")
         if isinstance(beta, Mapping):
-            beta = {int(n): float(v) for n, v in beta["table"].items()}
-        return cls(doc["family"], float(doc["alpha"]),
-                   float(doc.get("budget", 1.0)), beta)
+            beta = {int(n): _json_number(v, f"beta({n})")
+                    for n, v in beta["table"].items()}
+        return cls(doc["family"], _json_number(doc["alpha"], "alpha"),
+                   _json_number(doc.get("budget", 1.0), "budget"), beta)
 
 
 @dataclass(frozen=True)

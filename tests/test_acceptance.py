@@ -220,7 +220,7 @@ def test_09_truthfulness_dominant_on_random_trees():
 
 def test_10_no_blocking_coalition_on_random_trees():
     problems = []
-    trees = querytree.generate_trees(100, seed=1337, max_nodes=8)
+    trees = querytree.generate_trees(100, seed=1337, max_nodes=10)
     specs = mechanisms.specs_for_rho(0.6)
     for index, tree in enumerate(trees):
         for name, spec in specs.items():

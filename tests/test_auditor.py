@@ -1,11 +1,14 @@
 """Property verdicts: pass/fail patterns, witnesses, replay, oracles."""
 
 import copy
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qinlab import adversary, analytics, auditor, mechanisms
 from qinlab.auditor import (
@@ -29,6 +32,7 @@ from qinlab.auditor import (
     reward_table,
 )
 from qinlab.mechanisms import (
+    EQ_TOL,
     GOLDEN_ALPHA,
     MechanismSpec,
     beta_cp,
@@ -373,13 +377,103 @@ class TestCore:
                 assert check_core(tree, spec).passed
 
     def test_coalition_cap_enforced(self):
-        big = generate_trees(1, seed=9, max_nodes=12, min_nodes=9)[0]
+        big = generate_trees(1, seed=9, max_nodes=12,
+                             min_nodes=auditor.DEFAULT_COALITION_CAP + 1)[0]
         with pytest.raises(AuditError):
             check_core(big, GCRM05)
 
     def test_golden_alpha_edge(self):
         tree = generate_trees(1, seed=31, max_nodes=7)[0]
         assert check_core(tree, gcrm(GOLDEN_ALPHA)).passed
+
+
+def _options(truth: AgentReport) -> list[AgentReport]:
+    """All reports an agent can make, truthful first. An answer can be
+    withheld but not invented; children can be pruned but not added."""
+    answers = (True, False) if truth.resp else (False,)
+    subsets = [combo for r in range(len(truth.children), -1, -1)
+               for combo in itertools.combinations(truth.children, r)]
+    return [AgentReport(resp, kids) for resp in answers for kids in subsets]
+
+
+def _brute_force_first_block(engine, coalitions):
+    """The search over every profile of every coalition, truthful members
+    included: ``first_block``'s oracle. Returns the first block (or None)
+    with the coalitions and deviations it evaluated."""
+    truth = ReportProfile.truthful(engine.tree).reports
+    options = {a: _options(rep) for a, rep in truth.items()}
+    tol = EQ_TOL * engine.spec.budget
+    baseline = engine.baseline
+    checked = deviations = 0
+    for coalition in coalitions:
+        checked += 1
+        for profile in itertools.product(
+                *(options[a] for a in coalition)):
+            overrides = {a: rep for a, rep in zip(coalition, profile)
+                         if rep != truth[a]}
+            if not overrides:
+                continue
+            deviations += 1
+            payoffs = engine.expected(overrides)
+            if all(payoffs.get(a, 0.0) > baseline.get(a, 0.0) + tol
+                   for a in coalition):
+                return (coalition, overrides, payoffs), checked, deviations
+    return None, checked, deviations
+
+
+# the TDGM table pays longer paths more, so IC and core both fail on it
+ORACLE_SPECS = (*mechanisms.specs_for_rho(0.6).values(), MechanismSpec(
+    "TDGM", 0.2, beta={1: 0.05, 2: 0.1, 3: 0.6,
+                       **{n: 0.7 for n in range(4, 10)}}))
+
+
+class TestFullyDeviatingSearch:
+    """``first_block`` enumerates fully-deviating profiles only; the brute
+    force over every profile must find the same first block after the same
+    number of coalitions."""
+
+    @staticmethod
+    def _both(tree, spec, coalitions):
+        engine = auditor._DeviationEngine(tree, spec)
+        fast = engine.first_block(coalitions(engine))
+        oracle = _brute_force_first_block(
+            auditor._DeviationEngine(tree, spec), coalitions(engine))
+        return (fast, engine.coalitions, engine.deviations), oracle
+
+    @staticmethod
+    def _core_order(engine):
+        agents = sorted(engine.tree.agents)
+        return [c for size in range(1, len(agents) + 1)
+                for c in itertools.combinations(agents, size)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           nodes=st.integers(2, 9),
+           spec=st.sampled_from(ORACLE_SPECS))
+    def test_same_witness_and_counts_as_brute_force(self, seed, nodes, spec):
+        tree = generate_trees(1, seed, max_nodes=nodes, min_nodes=nodes)[0]
+        fast, (block, checked, _) = self._both(tree, spec, self._core_order)
+        assert fast[:2] == (block, checked)
+        # IC: a singleton's only non-truthful profiles are fully deviating
+        fast, oracle = self._both(
+            tree, spec, lambda e: [(a,) for a in sorted(e.baseline)])
+        assert fast == oracle
+
+    def test_multi_member_witness_matches_brute_force(self):
+        tree = generate_trees(1, 30, max_nodes=8, min_nodes=8)[0]
+        spec = ORACLE_SPECS[-1]
+        fast, (block, checked, _) = self._both(tree, spec, self._core_order)
+        assert fast[0][0] == (1, 3)
+        assert fast[:2] == (block, checked)
+
+    def test_evaluated_profiles_are_distinct(self):
+        tree = generate_trees(1, 30, max_nodes=8, min_nodes=8)[0]
+        engine = auditor._DeviationEngine(tree, ORACLE_SPECS[0])
+        seen = []
+        engine.expected = lambda overrides: seen.append(
+            frozenset(overrides.items())) or {}
+        assert engine.first_block(self._core_order(engine)) is None
+        assert len(seen) == len(set(seen)) == engine.deviations
 
 
 class TestReportPlumbing:

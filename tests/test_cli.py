@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +228,25 @@ class TestSpecBuilding:
                      "--beta-table", str(table), "--property", "po"])
         assert code == 0
 
+    @pytest.mark.parametrize("entries", [
+        {"1": True, "2": "0.3", "3": 0.2}, {"1": False}, {"1": [0.5]}])
+    def test_non_number_table_entries_exit_2(self, entries, tmp_path,
+                                             capsys):
+        table = tmp_path / "beta.json"
+        table.write_text(json.dumps(entries))
+        code = main(["audit", "--mechanism", "tdgm", "--alpha", "0.5",
+                     "--beta-table", str(table), "--property", "po"])
+        assert code == 2
+        assert "must be a number" in capsys.readouterr().err
+
+    def test_table_file_not_an_object_exit_2(self, tmp_path, capsys):
+        table = tmp_path / "beta.json"
+        table.write_text("[0.5, 0.4]")
+        code = main(["audit", "--mechanism", "tdgm", "--alpha", "0.5",
+                     "--beta-table", str(table), "--property", "po"])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_out_of_range_parameter_exit_2(self, capsys):
         assert main(["audit", "--mechanism", "gcrm", "--alpha", "1.5",
                      "--property", "po"]) == 2
@@ -311,3 +334,19 @@ class TestTreeDocumentErrors:
         path.write_text(json.dumps(doc))
         assert main(["allocate", "--tree", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m qinlab`` from a checkout, with src/ on the path only
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "qinlab", "attack", "--mechanism", "gcrm",
+         "--alpha", "0.5", "--kind", "sybil", "--position", "1",
+         "--size", "2", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["profitable"] is True
+    bad = subprocess.run([sys.executable, "-m", "qinlab", "sweep"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 2

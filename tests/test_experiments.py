@@ -228,6 +228,24 @@ class TestRunnerAndConfig:
             config_from_mapping({"experiment": "sybil_ratio",
                                  "not_a_key": "1"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_base", 2.7), ("lambda_max", True), ("n_max", "3.5"),
+        ("rho", True), ("budget", "two"), ("rho_values", (0.2, False)),
+        ("alpha_values", [None])])
+    def test_mapping_values_not_coerced(self, key, value):
+        # an int field takes an int or integer text, a float field a
+        # number or float text; a bool or anything else is rejected
+        with pytest.raises(ValueError, match=key):
+            config_from_mapping({"experiment": "sybil_ratio", key: value})
+
+    def test_mapping_numbers_and_text_accepted(self):
+        config = config_from_mapping({
+            "experiment": "sybil_ratio", "n_base": 4, "lambda_max": "5",
+            "rho": 1, "budget": "2.5", "rho_values": (1, 0.5)})
+        assert (config.n_base, config.lambda_max) == (4, 5)
+        assert (config.rho, config.budget) == (1.0, 2.5)
+        assert config.rho_values == (1.0, 0.5)
+
     def test_budget_scales_out_but_not_ratios(self, tmp_path):
         small = compute_rows(ExperimentConfig("sybil_ratio", lambda_max=3))
         big = compute_rows(ExperimentConfig("sybil_ratio", lambda_max=3,

@@ -100,6 +100,22 @@ class TestSpecValidation:
                 json.loads(json.dumps(spec.to_json())))
             assert back == spec
 
+    @pytest.mark.parametrize("change", [
+        {"alpha": "0.5"}, {"alpha": True}, {"budget": True},
+        {"budget": "1.0"}, {"beta": {"table": {"1": True}}},
+        {"beta": {"table": {"1": "0.5"}}}, {"beta": {"table": {"1": None}}}])
+    def test_from_json_numbers_not_coerced(self, change):
+        doc = {"family": "TDGM", "alpha": 0.5, "budget": 1.0, "beta": "sp",
+               **change}
+        with pytest.raises(RewardDomainError, match="must be a number"):
+            MechanismSpec.from_json(doc)
+
+    def test_from_json_integer_numbers_accepted(self):
+        back = MechanismSpec.from_json({"family": "TDGM", "alpha": 0.5,
+                                        "budget": 2, "beta": {"table": {
+                                            "1": 1}}})
+        assert back == MechanismSpec("TDGM", 0.5, 2.0, {1: 1.0})
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_json_round_trip_exactly_on_random_specs(self, data):

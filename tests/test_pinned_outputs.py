@@ -1,9 +1,11 @@
-"""Byte-level pins on the sp/cp reports and the default sweep CSVs.
+"""Byte-level pins on the sp/cp and ic/core reports and the default sweep
+CSVs.
 
 SHA-256 digests of ``check_sp``/``check_cp`` reports over the whole default
-domain and of the five default sweep CSVs: a change to any verdict,
-witness, per-size verdict, ``equality_at``, ``smallest_violating_lambda``
-or sweep byte fails here. A change that means to alter them says so and
+domain, of ic/core reports over two seeded batches of trees, and of the
+five default sweep CSVs: a change to any verdict, witness, per-size
+verdict, ``equality_at``, ``smallest_violating_lambda``, work counter or
+sweep byte fails here. A change that means to alter them says so and
 re-derives the digests.
 """
 
@@ -38,6 +40,15 @@ REPORT_DIGESTS = {
     "tdgm-cp": "24df15449b9a9cecb4f31d08bae0395bf7d00997e1b6a59d0ad130e1d8aa7549",
     "table": "47aea3ecea65e81635a6e1818cf5c103b16fc27c89281ba3db8054c06606815c",
     "over-budget-table": "1ef7c980ebaa4112fa855b7afabf86788fa1e672033ff2b005c58147141d5ff5",
+}
+
+# ic/core on generate_trees(30, seed, max_nodes=8) for seeds 0 and 3; the
+# three rho = 0.6 specs pass alike (equal reports), the table fails at seed 0
+TREE_AUDIT_DIGESTS = {
+    "dgm": "7ee1ec6435792285b6ad9de2b775a7f016c4488147e49054b383df3d4ed8d828",
+    "geom": "7ee1ec6435792285b6ad9de2b775a7f016c4488147e49054b383df3d4ed8d828",
+    "gcrm": "7ee1ec6435792285b6ad9de2b775a7f016c4488147e49054b383df3d4ed8d828",
+    "table": "463439f44fda119b37210cb234fe11bd831d93328c8d309140337b6b3246abc0",
 }
 
 SWEEP_DIGESTS = {
@@ -78,6 +89,23 @@ def test_sp_cp_reports_match_pinned_digests():
                      + b"\n")
         digests[label] = h.hexdigest()
     assert digests == REPORT_DIGESTS
+
+
+def test_ic_core_reports_match_pinned_digests():
+    specs = dict(mechanisms.specs_for_rho(0.6))
+    specs["table"] = mechanisms.MechanismSpec(
+        mechanisms.TDGM, 0.2, 1.0,
+        {1: 0.05, 2: 0.1, 3: 0.6, **{n: 0.7 for n in range(4, 13)}})
+    digests = {}
+    for name, spec in specs.items():
+        h = hashlib.sha256()
+        for seed in (0, 3):
+            for report in auditor.audit(["ic", "core"], spec, trees=30,
+                                        seed=seed, max_nodes=8):
+                h.update(json.dumps(report.to_json(), sort_keys=True).encode()
+                         + b"\n")
+        digests[name] = h.hexdigest()
+    assert digests == TREE_AUDIT_DIGESTS
 
 
 def test_default_sweep_csvs_match_pinned_digests(tmp_path):
